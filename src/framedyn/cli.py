@@ -447,7 +447,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, DatasetFormatError, ModelFormatError) as e:
+    except (ValueError, OSError, MemoryError, DatasetFormatError, ModelFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -95,10 +95,20 @@ def read_jsonl(path) -> TransitionDataset:
             header = json.loads(header_line)
         except json.JSONDecodeError as e:
             raise DatasetFormatError(f"{path}: line 1: invalid header: {e}") from e
+        if not isinstance(header, dict):
+            raise DatasetFormatError(f"{path}: line 1: header is not a JSON object")
         for key in ("env_id", "n", "n_u", "seed", "count"):
             if key not in header:
-                raise DatasetFormatError(f"{path}: header missing field '{key}'")
-        n, n_u, count = int(header["n"]), int(header["n_u"]), int(header["count"])
+                raise DatasetFormatError(f"{path}: line 1: header missing field '{key}'")
+        for key, low in (("n", 1), ("n_u", 1), ("count", 0), ("seed", None)):
+            value = header[key]
+            if type(value) is not int or (low is not None and value < low):
+                bound = "" if low is None else f" >= {low}"
+                raise DatasetFormatError(
+                    f"{path}: line 1: header field '{key}' must be an integer{bound}, "
+                    f"got {value!r}"
+                )
+        n, n_u, count = header["n"], header["n_u"], header["count"]
         xs = np.empty((count, n))
         us = np.empty((count, n_u))
         xns = np.empty((count, n))
@@ -127,6 +137,6 @@ def read_jsonl(path) -> TransitionDataset:
                 f"{path}: header count {count} does not match {rows} data lines"
             )
     return TransitionDataset(
-        env_id=header["env_id"], n=n, n_u=n_u, seed=int(header["seed"]),
+        env_id=header["env_id"], n=n, n_u=n_u, seed=header["seed"],
         x=xs, u=us, x_next=xns,
     )

@@ -10,9 +10,19 @@ Two environments:
   fixed target, observed through the 11-dimensional layout described in
   :class:`framedyn.builtin.ReacherGroup`.
 
-Step functions are pure and accept leading batch axes.  Dataset generation
-is deterministic given the seed: episode ``k`` draws from an independent
-generator seeded with ``derive_seed(seed, "episode", k)``.
+Step functions are pure and accept leading batch axes.  Control policies
+are batched: ``policy(x, draws) -> u`` maps states ``x`` of shape (E, n) and
+uniforms ``draws`` in [0, 1) of shape (E, k) to controls of shape (E, n_u);
+``EnvSpec.policy_draws`` declares ``k`` (``n_u`` for ``uniform-random``, 0
+for ``scripted-goal-seek``).
+
+Dataset generation is deterministic given the seed and steps all episodes in
+lockstep: one policy call and one step call per time step.  Episode ``e``
+has its own generator ``Rng(derive_seed(seed, "episode", e))``, which draws
+the initial state, then ``horizon * k`` policy values in step order (one
+``(horizon, k)`` block; row ``t`` feeds step ``t``).  An :class:`Rng`
+sequence depends only on the number of values requested, so this equals
+drawing the policy values step by step.
 """
 
 from __future__ import annotations
@@ -173,50 +183,64 @@ def reacher_initial_state(rng: Rng) -> np.ndarray:
 
 
 # -- control policies --------------------------------------------------------
+# Batched; see the module docstring for the signature.
+
+_PARKING_LIMITS = np.array([CAR_MAX_ACCEL, CAR_MAX_STEER, CAR_MAX_ACCEL, CAR_MAX_STEER])
 
 
-def _parking_uniform(rng: Rng, x) -> np.ndarray:
-    return np.array(
-        [rng.uniform(-1.0, 1.0), rng.uniform(-CAR_MAX_STEER, CAR_MAX_STEER),
-         rng.uniform(-1.0, 1.0), rng.uniform(-CAR_MAX_STEER, CAR_MAX_STEER)]
-    )
+def _uniform(draws, limit) -> np.ndarray:
+    """Scale [0, 1) draws to [-limit, limit), bit-equal to
+    ``Rng.uniform(-limit, limit)`` (``lo + d * (hi - lo)``)."""
+    return -limit + draws * (limit + limit)
+
+
+def _parking_uniform(x, draws) -> np.ndarray:
+    return _uniform(draws, _PARKING_LIMITS)
 
 
 def _car_goal_seek(car, goal) -> np.ndarray:
-    dy, dz = goal[0] - car[0], goal[1] - car[1]
-    hy, hz = car[4], car[5]
+    dy, dz = goal[:, 0] - car[:, 0], goal[:, 1] - car[:, 1]
+    hy, hz = car[:, 4], car[:, 5]
     body_y = hy * dy + hz * dz
     body_z = -hz * dy + hy * dz
     bearing = np.arctan2(body_z, body_y)
     steer = np.clip(1.5 * bearing, -CAR_MAX_STEER, CAR_MAX_STEER)
-    speed = car[2] * hy + car[3] * hz
-    desired = min(0.7 * float(np.hypot(dy, dz)), 1.5)
+    speed = car[:, 2] * hy + car[:, 3] * hz
+    desired = np.minimum(0.7 * np.hypot(dy, dz), 1.5)
     accel = np.clip(desired - speed, -1.0, 1.0)
-    return np.array([accel, steer])
+    return np.stack([accel, steer], axis=-1)
 
 
-def _parking_goal_seek(rng: Rng, x) -> np.ndarray:
+def _parking_goal_seek(x, draws) -> np.ndarray:
     return np.concatenate(
-        [_car_goal_seek(x[0:6], x[12:18]), _car_goal_seek(x[6:12], x[18:24])]
+        [_car_goal_seek(x[:, 0:6], x[:, 12:18]), _car_goal_seek(x[:, 6:12], x[:, 18:24])],
+        axis=-1,
     )
 
 
-def _reacher_uniform(rng: Rng, x) -> np.ndarray:
-    return np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)])
+def _reacher_uniform(x, draws) -> np.ndarray:
+    return _uniform(draws, REACHER_MAX_TORQUE)
 
 
-def _reacher_goal_seek(rng: Rng, x) -> np.ndarray:
-    th1 = np.arctan2(x[2], x[0])
-    th2 = np.arctan2(x[3], x[1])
+def _rowwise_dot(a, b) -> np.ndarray:
+    # A stacked matmul rounds like the per-row ``a @ b``; a*b sums, einsum
+    # and .sum(-1) differ from it in the last bit on some rows.
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _reacher_goal_seek(x, draws) -> np.ndarray:
+    th1 = np.arctan2(x[:, 2], x[:, 0])
+    th2 = np.arctan2(x[:, 3], x[:, 1])
     th12 = th1 + th2
-    offset = x[8:10]
+    offset = x[:, 8:10]
     # Jacobian columns of the fingertip position w.r.t. the joint angles.
-    j1 = np.array(
+    j1 = np.stack(
         [-REACHER_LINK * np.sin(th1) - REACHER_LINK * np.sin(th12),
-         REACHER_LINK * np.cos(th1) + REACHER_LINK * np.cos(th12)]
+         REACHER_LINK * np.cos(th1) + REACHER_LINK * np.cos(th12)], axis=-1
     )
-    j2 = np.array([-REACHER_LINK * np.sin(th12), REACHER_LINK * np.cos(th12)])
-    tau = -4.0 * np.array([j1 @ offset, j2 @ offset]) - 0.6 * x[6:8]
+    j2 = np.stack([-REACHER_LINK * np.sin(th12), REACHER_LINK * np.cos(th12)], axis=-1)
+    pull = np.stack([_rowwise_dot(j1, offset), _rowwise_dot(j2, offset)], axis=-1)
+    tau = -4.0 * pull - 0.6 * x[:, 6:8]
     return np.clip(tau, -REACHER_MAX_TORQUE, REACHER_MAX_TORQUE)
 
 
@@ -232,6 +256,7 @@ class EnvSpec:
     step: Callable
     initial_state: Callable
     policies: dict
+    policy_draws: dict
     default_episodes: int
     default_horizon: int
     default_updates: int
@@ -244,6 +269,7 @@ ENVS = {
         step=parking_step, initial_state=parking_initial_state,
         policies={"uniform-random": _parking_uniform,
                   "scripted-goal-seek": _parking_goal_seek},
+        policy_draws={"uniform-random": 4, "scripted-goal-seek": 0},
         default_episodes=400, default_horizon=50,
         default_updates=20000, default_hidden=128,
     ),
@@ -252,6 +278,7 @@ ENVS = {
         step=reacher_step, initial_state=reacher_initial_state,
         policies={"uniform-random": _reacher_uniform,
                   "scripted-goal-seek": _reacher_goal_seek},
+        policy_draws={"uniform-random": 2, "scripted-goal-seek": 0},
         default_episodes=200, default_horizon=50,
         default_updates=10000, default_hidden=64,
     ),
@@ -274,28 +301,33 @@ def generate_dataset(
     policy: str = "uniform-random",
     seed: int = 0,
 ) -> TransitionDataset:
-    """Roll out ``episodes`` trajectories of length ``horizon`` and collect
-    every transition.  Deterministic given ``seed``.
+    """Roll out ``episodes`` trajectories of length ``horizon`` in lockstep
+    and collect every transition, episode-major.  Deterministic given
+    ``seed``; the random-value contract is in the module docstring.
     """
     env = get_env(env_id)
     if episodes <= 0 or horizon <= 0:
         raise ValueError("episodes and horizon must be positive")
     if policy not in env.policies:
         raise ValueError(f"unknown policy '{policy}' (expected one of {POLICIES})")
-    policy_fn = env.policies[policy]
-    count = episodes * horizon
-    xs = np.empty((count, env.n))
-    us = np.empty((count, env.n_u))
-    xns = np.empty((count, env.n))
-    row = 0
+    policy_fn, k = env.policies[policy], env.policy_draws[policy]
+    # Outputs first, so impossible sizes fail before any work.
+    xs = np.empty((episodes, horizon, env.n))
+    us = np.empty((episodes, horizon, env.n_u))
+    xns = np.empty((episodes, horizon, env.n))
+    draws = np.empty((episodes, horizon, k))
+    x = np.empty((episodes, env.n))
     for ep in range(episodes):
         ep_rng = Rng(derive_seed(seed, "episode", ep))
-        x = env.initial_state(ep_rng)
-        for _ in range(horizon):
-            u = policy_fn(ep_rng, x)
-            x_next = env.step(x, u)
-            xs[row], us[row], xns[row] = x, u, x_next
-            x = x_next
-            row += 1
+        x[ep] = env.initial_state(ep_rng)
+        if k:
+            draws[ep] = ep_rng.uniform(size=(horizon, k))
+    for t in range(horizon):
+        u = policy_fn(x, draws[:, t])
+        x_next = env.step(x, u)
+        xs[:, t], us[:, t], xns[:, t] = x, u, x_next
+        x = x_next
+    count = episodes * horizon
     return TransitionDataset(env_id=env_id, n=env.n, n_u=env.n_u, seed=seed,
-                             x=xs, u=us, x_next=xns)
+                             x=xs.reshape(count, env.n), u=us.reshape(count, env.n_u),
+                             x_next=xns.reshape(count, env.n))

@@ -240,6 +240,8 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
             header = json.loads(header_line)
         except json.JSONDecodeError as e:
             raise ModelFormatError(f"{path}: invalid model header: {e}") from e
+        if not isinstance(header, dict):
+            raise ModelFormatError(f"{path}: model header is not a JSON object")
         version = header.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(
@@ -247,37 +249,46 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
                 f"(expected {MODEL_FORMAT_VERSION})"
             )
         raw = f.read()
-    count = int(header["param_count"])
+
+    def field(name):
+        """Header value at a dotted ``name``; a typed error when absent."""
+        obj = header
+        for key in name.split("."):
+            if not isinstance(obj, dict) or key not in obj:
+                raise ModelFormatError(f"{path}: model header missing field '{name}'")
+            obj = obj[key]
+        return obj
+
+    count = int(field("param_count"))
     if len(raw) != 8 * count:
         raise ModelFormatError(
             f"{path}: parameter block holds {len(raw)} bytes, expected {8 * count}"
         )
     params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    m = header["mlp"]
     spec = MlpSpec(
-        input_dim=int(m["input_dim"]), output_dim=int(m["output_dim"]),
-        hidden_layers=tuple(m["hidden_layers"]), activation=m["activation"],
-        seed=int(m["seed"]),
+        input_dim=int(field("mlp.input_dim")), output_dim=int(field("mlp.output_dim")),
+        hidden_layers=tuple(field("mlp.hidden_layers")),
+        activation=field("mlp.activation"), seed=int(field("mlp.seed")),
     )
     regressor = Mlp.from_spec(spec)
     regressor.load_flat_params(params)
 
     expected_id = group.group_id if isinstance(group, TransformationGroup) else group
-    if header["kind"] == "symmetry":
-        stored_id = header["group_id"]
+    if field("kind") == "symmetry":
+        stored_id = field("group_id")
         if expected_id is not None and expected_id != stored_id:
             raise ModelFormatError(
                 f"{path}: model was trained for group '{stored_id}', "
                 f"not '{expected_id}'"
             )
         grp = group if isinstance(group, TransformationGroup) else get_group(stored_id)
-        return SymmetryReducedModel(grp, regressor, mode=header["mode"])
+        return SymmetryReducedModel(grp, regressor, mode=field("mode"))
     if expected_id is not None:
         raise ModelFormatError(
             f"{path}: baseline model carries no group, but '{expected_id}' was requested"
         )
-    return BaselineModel(int(header["n"]), int(header["n_u"]), regressor,
-                         mode=header["mode"])
+    return BaselineModel(int(field("n")), int(field("n_u")), regressor,
+                         mode=field("mode"))
 
 
 # -- metrics files -------------------------------------------------------------

@@ -45,6 +45,16 @@ class TestGenData:
         assert run(["gen-data", "--env", "reacher"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_impossible_size_is_one_line_error(self, tmp_path, capsys):
+        # 873 TiB of outputs: beyond the address space, so allocation fails
+        # at once without touching memory.
+        out = tmp_path / "huge.jsonl"
+        assert run(["gen-data", "--env", "parking2", "--episodes", "100000000000",
+                    "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):
@@ -84,6 +94,18 @@ class TestTrain:
                     "--out-model", str(tmp_path / "x.fdm"),
                     "--out-metrics", str(tmp_path / "x.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_impossible_batch_size_is_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "tiny.jsonl"
+        assert run(["gen-data", "--env", "reacher", "--episodes", "2",
+                    "--horizon", "3", "-o", str(data)]) == 0
+        capsys.readouterr()
+        assert run(["train", "--data", str(data), "--batch-size", "100000000000000",
+                    "--updates", "1", "--eval-every", "1",
+                    "--out-model", str(tmp_path / "x.fdm"),
+                    "--out-metrics", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_data_flag(self, capsys):
         assert run(["train"]) == 1

@@ -84,6 +84,23 @@ def test_gradients_match_central_differences():
         assert result.passed, f"{result.subject}: rel error {result.max_error}"
 
 
+@pytest.mark.parametrize("seed", [4, 11, 14, 15])
+def test_gradcheck_skips_probes_across_relu_kinks(seed):
+    # At these seeds a +-1e-6 probe crosses a relu kink, where central
+    # differences are meaningless; such probes are redrawn.
+    for result in check_gradient_exactness(seed=seed):
+        assert result.passed, f"{result.subject}: rel error {result.max_error}"
+
+
+def test_gradcheck_catches_corrupted_gradient(monkeypatch):
+    backward = Mlp.backward
+    monkeypatch.setattr(
+        Mlp, "backward", lambda self, cache, g: [1.01 * gr for gr in backward(self, cache, g)]
+    )
+    results = check_gradient_exactness(seed=0)
+    assert not any(r.passed for r in results)
+
+
 def test_adam_decreases_loss_on_linear_problem():
     # Convex least squares: a single affine layer fitting a random linear map.
     rng = Rng(5)

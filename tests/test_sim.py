@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -189,6 +192,20 @@ class TestJsonl:
         lines[1] = '{"x": [1.0], "u": [0.0, 0.0], "xn": [1.0]}'
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="dimensions"):
+            read_jsonl(path)
+
+    @pytest.mark.parametrize("field, value", [("count", -3), ("n", "abc")])
+    def test_bad_header_value_names_path_line_and_field(self, tmp_path, field, value):
+        ds = generate_dataset("reacher", episodes=1, horizon=2, seed=1)
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, ds)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[field] = value
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"{re.escape(str(path))}: line 1: header field '{field}'"):
             read_jsonl(path)
 
     def test_content_hash_sensitive_to_data(self):

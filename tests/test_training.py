@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -221,6 +224,29 @@ class TestModelPersistence:
         doc["format_version"] = 99
         path.write_bytes(json.dumps(doc).encode() + b"\n" + rest)
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["param_count", "kind", "mlp.activation"])
+    def test_missing_header_field_rejected(self, tmp_path, parking_group, field):
+        model = build_symmetry_model(parking_group, [8], seed=1)
+        path = tmp_path / "m.fdm"
+        save_model(path, model)
+        header, _, rest = path.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        *parents, key = field.split(".")
+        obj = doc
+        for name in parents:
+            obj = obj[name]
+        del obj[key]
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + rest)
+        with pytest.raises(ModelFormatError,
+                           match=f"{re.escape(str(path))}.*missing field '{field}'"):
+            load_model(path)
+
+    def test_list_header_rejected(self, tmp_path):
+        path = tmp_path / "m.fdm"
+        path.write_bytes(b'[1, 2, 3]\n')
+        with pytest.raises(ModelFormatError, match=f"{re.escape(str(path))}.*not a JSON object"):
             load_model(path)
 
 
