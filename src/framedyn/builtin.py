@@ -57,8 +57,7 @@ class SE2CarGroup(TransformationGroup):
     def _compose(self, c1, c2):
         cos1, sin1 = np.cos(c1[..., 2]), np.sin(c1[..., 2])
         ty, tz = _rotate(cos1, sin1, c2[..., 0], c2[..., 1])
-        shape = np.broadcast_shapes(c1.shape[:-1], c2.shape[:-1])
-        out = np.empty(shape + (3,))
+        out = np.empty(ty.shape + (3,))
         out[..., 0] = ty + c1[..., 0]
         out[..., 1] = tz + c1[..., 1]
         out[..., 2] = wrap_angle(c1[..., 2] + c2[..., 2])
@@ -76,9 +75,8 @@ class SE2CarGroup(TransformationGroup):
 
     def _act_state(self, c, x):
         cos, sin = np.cos(c[..., 2]), np.sin(c[..., 2])
-        shape = np.broadcast_shapes(c.shape[:-1], x.shape[:-1])
-        out = np.empty(shape + (6,))
         py, pz = _rotate(cos, sin, x[..., 0], x[..., 1])
+        out = np.empty(py.shape + (6,))
         out[..., 0] = py + c[..., 0]
         out[..., 1] = pz + c[..., 1]
         out[..., 2], out[..., 3] = _rotate(cos, sin, x[..., 2], x[..., 3])
@@ -87,7 +85,7 @@ class SE2CarGroup(TransformationGroup):
 
     def _moving_frame(self, x):
         norm = np.hypot(x[..., 4], x[..., 5])
-        if np.any(norm < HEADING_NORM_FLOOR):
+        if (norm < HEADING_NORM_FLOOR).any():
             bad = np.argwhere(norm < HEADING_NORM_FLOOR)
             raise FrameSingularityError(
                 f"heading direction norm below {HEADING_NORM_FLOOR:g} at index "
@@ -195,8 +193,7 @@ class ReacherGroup(TransformationGroup):
         # Translations apply before the rotation, so g1's translation is
         # carried back through g2's rotation.
         d1, d2 = _rotate(cos2, -sin2, c1[..., 1], c1[..., 2])
-        shape = np.broadcast_shapes(c1.shape[:-1], c2.shape[:-1])
-        out = np.empty(shape + (4,))
+        out = np.empty(d1.shape + (4,))
         out[..., 0] = wrap_angle(c1[..., 0] + c2[..., 0])
         out[..., 1] = c2[..., 1] + d1
         out[..., 2] = c2[..., 2] + d2
@@ -216,9 +213,9 @@ class ReacherGroup(TransformationGroup):
     def _act_state(self, c, x):
         cos, sin = np.cos(c[..., 0]), np.sin(c[..., 0])
         d1, d2, d3 = c[..., 1], c[..., 2], c[..., 3]
-        shape = np.broadcast_shapes(c.shape[:-1], x.shape[:-1])
-        out = np.empty(shape + (11,))
-        out[..., 0], out[..., 2] = _rotate(cos, sin, x[..., 0], x[..., 2])
+        x0, x2 = _rotate(cos, sin, x[..., 0], x[..., 2])
+        out = np.empty(x0.shape + (11,))
+        out[..., 0], out[..., 2] = x0, x2
         out[..., 1] = x[..., 1]
         out[..., 3] = x[..., 3]
         out[..., 4], out[..., 5] = _rotate(cos, sin, x[..., 4] + d1, x[..., 5] + d2)
@@ -230,7 +227,7 @@ class ReacherGroup(TransformationGroup):
 
     def _moving_frame(self, x):
         norm = np.hypot(x[..., 0], x[..., 2])
-        if np.any(norm < HEADING_NORM_FLOOR):
+        if (norm < HEADING_NORM_FLOOR).any():
             bad = np.argwhere(norm < HEADING_NORM_FLOOR)
             raise FrameSingularityError(
                 f"base joint direction norm below {HEADING_NORM_FLOOR:g} at index "
@@ -276,10 +273,15 @@ class ProductGroup(TransformationGroup):
     empty) control slice; element coordinates are the concatenation of the
     factor coordinates in declaration order.  State slices must partition the
     joint state and control slices the joint control space.
+
+    A run of k consecutive identical factors (same class and id) over adjacent
+    slices is applied as one factor call on ``(..., k, width)`` views; the maps
+    are elementwise, so the bits equal those of one call per factor.
     """
 
     def __init__(self, group_id: str, factors):
         self.factors = []
+        self._runs = []  # (group, k, state slice, control slice, coordinate slice)
         coord_start = 0
         for group, state_slice, control_slice in factors:
             s = slice(*state_slice) if isinstance(state_slice, tuple) else state_slice
@@ -287,6 +289,14 @@ class ProductGroup(TransformationGroup):
             cs = slice(coord_start, coord_start + group.r)
             self.factors.append((group, s, c, cs))
             coord_start += group.r
+            last = self._runs[-1] if self._runs else None
+            if (last is not None and type(last[0]) is type(group)
+                    and last[0].group_id == group.group_id
+                    and last[2].stop == s.start and last[3].stop == c.start):
+                self._runs[-1] = (group, last[1] + 1, slice(last[2].start, s.stop),
+                                  slice(last[3].start, c.stop), slice(last[4].start, cs.stop))
+            else:
+                self._runs.append((group, 1, s, c, cs))
 
         n = sum(f[1].stop - f[1].start for f in self.factors)
         n_u = sum(f[2].stop - f[2].start for f in self.factors)
@@ -319,8 +329,10 @@ class ProductGroup(TransformationGroup):
             a_indices=a_indices,
             cross_section=cross,
             angular_coords=angular,
-            additive_homomorphic=all(g.additive_homomorphic for g, _, _, _ in self.factors),
         )
+        # Factors that keep the base-class default leave controls untouched.
+        self._control_runs = [run for run in self._runs if type(run[0])._act_control
+                              is not TransformationGroup._act_control]
 
     @staticmethod
     def _check_partition(slices, total, what):
@@ -333,41 +345,48 @@ class ProductGroup(TransformationGroup):
         if position != total:
             raise ValueError(f"{what} slices do not partition [0, {total})")
 
-    def _per_factor(self, c, x, fn):
-        shape = np.broadcast_shapes(c.shape[:-1], x.shape[:-1])
-        out = np.empty(shape + (self.n,))
-        for group, s, _, cs in self.factors:
-            out[..., s] = fn(group, c[..., cs], x[..., s])
-        return out
+    @staticmethod
+    def _blocks(v, sl, k):
+        """``v[..., sl]`` as a ``(..., k, width)`` view; writes reach ``v``."""
+        part = v[..., sl]
+        return part.reshape(part.shape[:-1] + (k, (sl.stop - sl.start) // k))
 
     def _compose(self, c1, c2):
-        shape = np.broadcast_shapes(c1.shape[:-1], c2.shape[:-1])
-        out = np.empty(shape + (self.r,))
-        for group, _, _, cs in self.factors:
-            out[..., cs] = group._compose(c1[..., cs], c2[..., cs])
+        out = np.empty(np.broadcast_shapes(c1.shape[:-1], c2.shape[:-1]) + (self.r,))
+        for group, k, _, _, cs in self._runs:
+            self._blocks(out, cs, k)[...] = group._compose(
+                self._blocks(c1, cs, k), self._blocks(c2, cs, k))
         return out
 
     def _inverse(self, c):
         out = np.empty(c.shape)
-        for group, _, _, cs in self.factors:
-            out[..., cs] = group._inverse(c[..., cs])
+        for group, k, _, _, cs in self._runs:
+            self._blocks(out, cs, k)[...] = group._inverse(self._blocks(c, cs, k))
         return out
 
     def _act_state(self, c, x):
-        return self._per_factor(c, x, lambda g, cc, xx: g._act_state(cc, xx))
+        out = None
+        for group, k, s, _, cs in self._runs:
+            part = group._act_state(self._blocks(c, cs, k), self._blocks(x, s, k))
+            if out is None:
+                out = np.empty(part.shape[:-2] + (self.n,))
+            self._blocks(out, s, k)[...] = part
+        return out
 
     def _act_control(self, c, u):
-        shape = np.broadcast_shapes(c.shape[:-1], u.shape[:-1])
-        out = np.empty(shape + (self.n_u,))
-        for group, _, ctrl, cs in self.factors:
-            if ctrl.stop > ctrl.start:
-                out[..., ctrl] = group._act_control(c[..., cs], u[..., ctrl])
+        if not self._control_runs:
+            return u
+        out = np.empty(np.broadcast_shapes(c.shape[:-1], u.shape[:-1]) + (self.n_u,))
+        out[...] = u
+        for group, k, _, ctrl, cs in self._control_runs:
+            self._blocks(out, ctrl, k)[...] = group._act_control(
+                self._blocks(c, cs, k), self._blocks(u, ctrl, k))
         return out
 
     def _moving_frame(self, x):
         out = np.empty(x.shape[:-1] + (self.r,))
-        for group, s, _, cs in self.factors:
-            out[..., cs] = group._moving_frame(x[..., s])
+        for group, k, s, _, cs in self._runs:
+            self._blocks(out, cs, k)[...] = group._moving_frame(self._blocks(x, s, k))
         return out
 
     def random_element(self, rng: Rng, size=None) -> GroupElement:

@@ -160,17 +160,17 @@ def cmd_train(args) -> int:
     stem = str(Path(data_path).with_suffix(""))
     out_model = r.get("out_model", f"{stem}_{label}.fdm")
     out_metrics = r.get("out_metrics", f"{stem}_{label}_metrics.csv")
+    config = TrainConfig(
+        learning_rate=s["lr"], batch_size=s["batch_size"], updates=s["updates"],
+        eval_every=s["eval_every"], test_fraction=s["test_fraction"],
+        seed=s["seed"], split_seed=s["split_seed"],
+    )
 
     print(f"training {'symmetry' if s['symmetry'] else 'baseline'} model on {data_path}")
     print(f"model input dim: {model.input_dim}")
     print(f"model output dim: {model.output_dim}")
     print(f"hidden layers: {list(s['hidden'])} ({s['activation']}), "
           f"parameters: {model.regressor.param_count}")
-    config = TrainConfig(
-        learning_rate=s["lr"], batch_size=s["batch_size"], updates=s["updates"],
-        eval_every=s["eval_every"], test_fraction=s["test_fraction"],
-        seed=s["seed"], split_seed=s["split_seed"],
-    )
     records = train(model, dataset, config)
     save_model(out_model, model, train_seed=s["seed"])
     write_metrics_csv(out_metrics, records, _metrics_note(s, dataset))
@@ -234,6 +234,9 @@ def cmd_compare(args) -> int:
     workers = r.get("workers", 1, int)
     if runs < 1:
         raise ValueError("--runs must be at least 1")
+    if not archs or min(archs) < 1 or len(set(archs)) != len(archs):
+        raise ValueError(f"--archs must list distinct hidden layer counts >= 1, "
+                         f"got {list(archs)}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

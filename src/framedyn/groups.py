@@ -63,7 +63,6 @@ class TransformationGroup(abc.ABC):
         a_indices,
         cross_section,
         angular_coords: tuple[int, ...] = (),
-        additive_homomorphic: bool = False,
     ):
         self.group_id = group_id
         self.r = int(r)
@@ -76,7 +75,6 @@ class TransformationGroup(abc.ABC):
         self.b_dim = int(self.b_indices.size)
         self.cross_section = np.asarray(cross_section, dtype=np.float64)
         self.angular_coords = tuple(angular_coords)
-        self.additive_homomorphic = bool(additive_homomorphic)
         if self.b_dim > self.n:
             raise ValueError("b_dim exceeds state dimension")
         if self.cross_section.shape != (self.n - self.b_dim,):

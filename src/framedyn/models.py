@@ -13,6 +13,10 @@ Both models support two regression targets: ``absolute`` (predict the next
 state directly) and ``delta`` (predict next state minus current state, the
 usual choice).
 
+The symmetry model's public methods validate ``x``, ``u`` and ``x_next``
+once (shape and finiteness), then work on the group's raw coordinate maps:
+one moving frame and one framed state per call.
+
 Predictions are returned exactly as the regressor produces them; unit-norm
 pairs (headings, joint directions) are not renormalized, so repeated rollout
 of a learned model can drift off the state manifold.
@@ -49,6 +53,18 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _check_arity(regressor, input_dim: int, output_dim: int, input_size: str) -> None:
+    """Reject a regressor whose declared arities do not fit the model."""
+    in_dim = getattr(regressor, "input_dim", None)
+    out_dim = getattr(regressor, "output_dim", None)
+    if in_dim is not None and in_dim != input_dim:
+        raise ValueError(f"regressor input arity {in_dim} does not match {input_size}")
+    if out_dim is not None and out_dim != output_dim:
+        raise ValueError(
+            f"regressor output arity {out_dim} does not match state size {output_dim}"
+        )
+
+
 class SymmetryReducedModel:
     """Group-invariant one-step dynamics model.
 
@@ -64,65 +80,37 @@ class SymmetryReducedModel:
         self.mode = _check_mode(mode)
         self.input_dim = group.b_dim + group.n_u
         self.output_dim = group.n
-        in_dim = getattr(regressor, "input_dim", None)
-        out_dim = getattr(regressor, "output_dim", None)
-        if in_dim is not None and in_dim != self.input_dim:
-            raise ValueError(
-                f"regressor input arity {in_dim} does not match reduced input "
-                f"size {self.input_dim} (= b_dim {group.b_dim} + n_u {group.n_u})"
-            )
-        if out_dim is not None and out_dim != self.output_dim:
-            raise ValueError(
-                f"regressor output arity {out_dim} does not match state size {group.n}"
-            )
+        _check_arity(regressor, self.input_dim, self.output_dim,
+                     f"reduced input size {self.input_dim} "
+                     f"(= b_dim {group.b_dim} + n_u {group.n_u})")
 
-    def reduced_inputs(self, x, u) -> np.ndarray:
-        """Canonical regression inputs: concat(reduce(x), framed control)."""
-        frame = self.group.moving_frame(x)
-        xb = self.group.act_state(frame, x)[..., self.group.b_indices]
-        ub = self.group.act_control(frame, u)
-        return np.concatenate([xb, ub], axis=-1)
+    def _canonical(self, x, u):
+        """Validate ``x`` and ``u``; return the frame coordinates, the framed
+        state and the regressor inputs (reduced state, then framed control)."""
+        group = self.group
+        xv = group._require_vector(x, group.n, "state")
+        uv = group._require_vector(u, group.n_u, "control")
+        frame = group._moving_frame(xv)
+        framed = group._act_state(frame, xv)
+        inputs = np.concatenate(
+            [framed[..., group.b_indices], group._act_control(frame, uv)], axis=-1
+        )
+        return frame, framed, inputs
 
     def predict(self, x, u) -> np.ndarray:
         """One-step prediction; invariant under the group action for any
         regressor.
         """
         group = self.group
-        frame = group.moving_frame(x)
-        xv = np.asarray(x, dtype=np.float64)
-        xb = group.act_state(frame, xv)[..., group.b_indices]
-        ub = group.act_control(frame, u)
-        out = self.regressor(np.concatenate([xb, ub], axis=-1))
-        out = np.asarray(out, dtype=np.float64)
+        frame, framed, inputs = self._canonical(x, u)
+        out = np.asarray(self.regressor(inputs), dtype=np.float64)
         if out.shape[-1] != group.n:
             raise ValueError(
                 f"regressor returned arity {out.shape[-1]}, expected {group.n}"
             )
-        inv = group.inverse(frame)
-        if self.mode == "absolute":
-            return group.act_state(inv, out)
-        framed_next = out + group.act_state(frame, xv)
-        return group.act_state(inv, framed_next)
-
-    def predict_via_homomorphism(self, x, u) -> np.ndarray:
-        """Delta-mode shortcut valid only when the group action is additive:
-        carry the raw regressor output back with the inverse frame and add it
-        to the state.  Equals :meth:`predict` exactly for such groups.
-        """
-        if self.mode != "delta":
-            raise ValueError("the homomorphism shortcut applies to delta mode only")
-        if not self.group.additive_homomorphic:
-            raise ValueError(
-                f"group '{self.group.group_id}' is not flagged additive; "
-                "the shortcut would change the prediction"
-            )
-        group = self.group
-        frame = group.moving_frame(x)
-        xv = np.asarray(x, dtype=np.float64)
-        xb = group.act_state(frame, xv)[..., group.b_indices]
-        ub = group.act_control(frame, u)
-        out = np.asarray(self.regressor(np.concatenate([xb, ub], axis=-1)), dtype=np.float64)
-        return xv + group.act_state(group.inverse(frame), out)
+        if self.mode == "delta":
+            out = out + framed
+        return group._act_state(group._inverse(frame), out)
 
     def training_target(self, x, u, x_next) -> ReducedSample:
         """Map transitions to canonical regression pairs.
@@ -131,17 +119,11 @@ class SymmetryReducedModel:
         group element map to the same (inputs, targets).
         """
         group = self.group
-        frame = group.moving_frame(x)
-        xv = np.asarray(x, dtype=np.float64)
+        frame, framed, inputs = self._canonical(x, u)
         xn = group._require_vector(x_next, group.n, "next state")
-        xb = group.act_state(frame, xv)[..., group.b_indices]
-        ub = group.act_control(frame, u)
-        inputs = np.concatenate([xb, ub], axis=-1)
-        framed_next = group.act_state(frame, xn)
-        if self.mode == "absolute":
-            targets = framed_next
-        else:
-            targets = framed_next - group.act_state(frame, xv)
+        targets = group._act_state(frame, xn)
+        if self.mode == "delta":
+            targets = targets - framed
         return ReducedSample(inputs=inputs, targets=targets)
 
 
@@ -155,16 +137,8 @@ class BaselineModel:
         self.mode = _check_mode(mode)
         self.input_dim = self.n + self.n_u
         self.output_dim = self.n
-        in_dim = getattr(regressor, "input_dim", None)
-        out_dim = getattr(regressor, "output_dim", None)
-        if in_dim is not None and in_dim != self.input_dim:
-            raise ValueError(
-                f"regressor input arity {in_dim} does not match n + n_u = {self.input_dim}"
-            )
-        if out_dim is not None and out_dim != self.n:
-            raise ValueError(
-                f"regressor output arity {out_dim} does not match state size {self.n}"
-            )
+        _check_arity(regressor, self.input_dim, self.output_dim,
+                     f"n + n_u = {self.input_dim}")
 
     def _check(self, x, u):
         xv = np.asarray(x, dtype=np.float64)

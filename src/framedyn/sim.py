@@ -141,39 +141,50 @@ def reacher_step(x, u, dt: float = REACHER_DT) -> np.ndarray:
 
 
 # -- initial states ----------------------------------------------------------
+# One block of uniforms per state, scaled field by field: the same values as
+# one scalar ``Rng`` draw per field in field order.
 
 
-def _random_car_block(rng: Rng) -> np.ndarray:
-    y = rng.uniform(-5.0, 5.0)
-    z = rng.uniform(-5.0, 5.0)
-    ang = rng.angles()
-    speed = rng.uniform(-1.0, 1.0)
+def _uniform(draws, limit) -> np.ndarray:
+    """Scale [0, 1) draws to [-limit, limit), bit-equal to
+    ``Rng.uniform(-limit, limit)`` (``lo + d * (hi - lo)``)."""
+    return -limit + draws * (limit + limit)
+
+
+def _angle(draws):
+    """Scale [0, 1) draws to angles, bit-equal to ``Rng.angles()``."""
+    return np.pi - draws * (2.0 * np.pi)
+
+
+def _random_car_block(d) -> np.ndarray:
+    y, z = _uniform(d[0], 5.0), _uniform(d[1], 5.0)
+    ang = _angle(d[2])
+    speed = _uniform(d[3], 1.0)
     hy, hz = np.cos(ang), np.sin(ang)
     return np.array([y, z, speed * hy, speed * hz, hy, hz])
 
 
-def _random_goal_block(rng: Rng) -> np.ndarray:
-    y = rng.uniform(-5.0, 5.0)
-    z = rng.uniform(-5.0, 5.0)
-    ang = rng.angles()
-    return np.array([y, z, 0.0, 0.0, np.cos(ang), np.sin(ang)])
+def _random_goal_block(d) -> np.ndarray:
+    ang = _angle(d[2])
+    return np.array([_uniform(d[0], 5.0), _uniform(d[1], 5.0), 0.0, 0.0,
+                     np.cos(ang), np.sin(ang)])
 
 
 def parking_initial_state(rng: Rng) -> np.ndarray:
+    d = rng.uniform(size=14)
     return np.concatenate(
-        [_random_car_block(rng), _random_car_block(rng),
-         _random_goal_block(rng), _random_goal_block(rng)]
+        [_random_car_block(d[0:4]), _random_car_block(d[4:8]),
+         _random_goal_block(d[8:11]), _random_goal_block(d[11:14])]
     )
 
 
 def reacher_initial_state(rng: Rng) -> np.ndarray:
-    th1 = rng.angles()
-    th2 = rng.angles()
-    w1 = rng.uniform(-1.0, 1.0)
-    w2 = rng.uniform(-1.0, 1.0)
+    d = rng.uniform(size=6)
+    th1, th2 = _angle(d[0]), _angle(d[1])
+    w1, w2 = _uniform(d[2], 1.0), _uniform(d[3], 1.0)
     # Target uniform over the reachable disk of radius 2 * link length.
-    radius = 2.0 * REACHER_LINK * np.sqrt(rng.uniform())
-    t_ang = rng.angles()
+    radius = 2.0 * REACHER_LINK * np.sqrt(d[4])
+    t_ang = _angle(d[5])
     ty, tz = radius * np.cos(t_ang), radius * np.sin(t_ang)
     fy, fz = _reacher_fingertip(th1, th2)
     return np.array(
@@ -186,12 +197,6 @@ def reacher_initial_state(rng: Rng) -> np.ndarray:
 # Batched; see the module docstring for the signature.
 
 _PARKING_LIMITS = np.array([CAR_MAX_ACCEL, CAR_MAX_STEER, CAR_MAX_ACCEL, CAR_MAX_STEER])
-
-
-def _uniform(draws, limit) -> np.ndarray:
-    """Scale [0, 1) draws to [-limit, limit), bit-equal to
-    ``Rng.uniform(-limit, limit)`` (``lo + d * (hi - lo)``)."""
-    return -limit + draws * (limit + limit)
 
 
 def _parking_uniform(x, draws) -> np.ndarray:

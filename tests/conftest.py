@@ -11,13 +11,13 @@ BUILTIN_GROUP_IDS = ("se2car", "const:6", "parking2", "reacher")
 
 class HeadingRotationGroup(TransformationGroup):
     """Rotation-only variant of the car group: the action is linear (no
-    translation part), so the additive shortcut applies."""
+    translation part)."""
 
     def __init__(self):
         super().__init__(
             group_id="rotcar", r=1, n=6, n_u=2,
             a_indices=(4, 5), cross_section=(1.0, 0.0),
-            angular_coords=(0,), additive_homomorphic=True,
+            angular_coords=(0,),
         )
 
     def _compose(self, c1, c2):

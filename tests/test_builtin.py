@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from framedyn.builtin import get_group, make_parking_group, make_reacher_group
+from framedyn.builtin import (
+    ConstantTranslationGroup,
+    ProductGroup,
+    SE2CarGroup,
+    get_group,
+    make_parking_group,
+    make_reacher_group,
+)
 from framedyn.groups import angle_difference
 from framedyn.rng import Rng
 import oracles
@@ -165,6 +172,50 @@ class TestParkingProduct:
         u = parking_group.random_control(rng, size=100)
         g = parking_group.random_element(rng, size=100)
         assert np.array_equal(parking_group.act_control(g, u), u)
+
+
+class ControlRotatingCar(SE2CarGroup):
+    """Car group that also rotates the control pair: a factor acting on controls."""
+
+    def _act_control(self, c, u):
+        cos, sin = np.cos(c[..., 2]), np.sin(c[..., 2])
+        return np.stack([cos * u[..., 0] - sin * u[..., 1],
+                         sin * u[..., 0] + cos * u[..., 1]], axis=-1)
+
+
+@pytest.mark.parametrize("size", [None, 50])
+def test_stacked_runs_equal_factor_by_factor_maps(size):
+    # Reference: each factor applied on its own slices, one call per factor.
+    mixed = ProductGroup("mixed", [
+        (ControlRotatingCar("rc"), (0, 6), (0, 2)),
+        (ControlRotatingCar("rc"), (6, 12), (2, 4)),
+        (SE2CarGroup(), (12, 18), (4, 6)),
+        (ConstantTranslationGroup(3), (18, 21), (6, 6)),
+    ])
+    state, control, coords = 1, 2, 3  # slice fields of a ProductGroup factor
+    for group in (make_parking_group(), mixed):
+        rng = Rng(8)
+        x = group.random_state(rng, size=size)
+        u = group.random_control(rng, size=size)
+        c1 = group.random_element(rng, size=size).coords
+        c2 = group.random_element(rng, size=size).coords
+        cases = [
+            ("_act_state", state, ((c1, coords), (x, state))),
+            ("_act_control", control, ((c1, coords), (u, control))),
+            ("_moving_frame", coords, ((x, state),)),
+            ("_inverse", coords, ((c1, coords),)),
+            ("_compose", coords, ((c1, coords), (c2, coords))),
+        ]
+        for method, out_field, operands in cases:
+            got = getattr(group, method)(*(v for v, _ in operands))
+            expected = np.empty_like(got)
+            for factor in group.factors:
+                sl = factor[out_field]
+                if sl.stop > sl.start:
+                    expected[..., sl] = getattr(factor[0], method)(
+                        *(v[..., factor[f]] for v, f in operands))
+            assert got.tobytes() == expected.tobytes(), (group.group_id, method)
+    assert [run[1] for run in mixed._runs] == [2, 1, 1]
 
 
 def test_registry_ids():

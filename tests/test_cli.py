@@ -111,6 +111,15 @@ class TestTrain:
         assert run(["train"]) == 1
         assert "--data is required" in capsys.readouterr().err
 
+    def test_invalid_config_fails_before_any_output(self, dataset_path, tmp_path, capsys):
+        assert run(["train", "--data", str(dataset_path), "--lr", "-1",
+                    "--out-model", str(tmp_path / "x.fdm"),
+                    "--out-metrics", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not (tmp_path / "x.fdm").exists()
+
 
 class TestCompare:
     def test_grid_counting_and_schema(self, dataset_path, tmp_path, capsys):
@@ -131,6 +140,16 @@ class TestCompare:
         assert curves[0] == "arch,symmetry,update,test_mse_mean,test_mse_std"
         # 2 archs x 2 methods x 3 records (updates 0, 20, 40)
         assert len(curves) == 1 + 12
+
+    @pytest.mark.parametrize("archs", ["", "0,-1", "1,0", "1,1"])
+    def test_invalid_archs_fail_before_any_file(self, dataset_path, tmp_path, capsys, archs):
+        out_dir = tmp_path / "cmp"
+        assert run(["compare", "--data", str(dataset_path), "--archs", archs,
+                    "--updates", "10", "--eval-every", "10",
+                    "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --archs") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_workers_give_same_summary(self, dataset_path, tmp_path):
         kwargs = ["--archs", "1", "--hidden-size", "8", "--runs", "2",

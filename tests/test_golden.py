@@ -1,12 +1,21 @@
-"""Golden digests: exact dataset content hashes pinned across versions.
+"""Golden digests: exact outputs pinned across versions.
 
-A refactor of the simulators, policies or random-number consumption that
-changes any generated bit fails here, even if it stays self-consistent.
+A refactor of the simulators, policies, groups, models, training loop or
+random-number consumption that changes any generated bit fails here, even if
+it stays self-consistent.  Values were recorded with numpy 2.4 and OpenBLAS;
+another BLAS build may round the regressor's matrix products differently.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from framedyn.builtin import get_group
+from framedyn.rng import Rng, derive_seed
 from framedyn.sim import generate_dataset
+from framedyn.training import TrainConfig, build_baseline_model, build_symmetry_model, train
+from framedyn.verify import run_suites
 
 # (env, policy, episodes, horizon, seed) -> content_hash() as 16 hex digits.
 GOLDEN_DATASET_HASHES = {
@@ -24,9 +33,120 @@ GOLDEN_DATASET_HASHES = {
     ("reacher", "scripted-goal-seek", 1, 1, 0): "84ff0427641156dc",
 }
 
+# (env, method) -> (train_mse, test_mse) as float hex at updates 0, 50, ..., 200.
+GOLDEN_TRAIN_SEQUENCES = {
+    ("parking2", "sym"): [
+        ("0x1.468e7d26f866cp-5", "0x1.9d9e7198d4b38p-5"),
+        ("0x1.39fe0d27f7eabp-7", "0x1.896a5b03c676fp-7"),
+        ("0x1.2387b7878c2ecp-8", "0x1.72dcc2caf09b0p-8"),
+        ("0x1.649741e3e6ba0p-9", "0x1.c8e14a89f5edep-9"),
+        ("0x1.ea211f028b1adp-10", "0x1.3431f33b2ab5fp-9"),
+    ],
+    ("parking2", "base"): [
+        ("0x1.84e982927679ap+0", "0x1.39e675ee6749ap+0"),
+        ("0x1.46d05fc94fe02p-2", "0x1.2579c63030a2cp-2"),
+        ("0x1.dbbe9abf19029p-4", "0x1.bbede8595fe3dp-4"),
+        ("0x1.d5d83eeb8f7cfp-5", "0x1.c9e57b29e8987p-5"),
+        ("0x1.0c945f2ad088fp-5", "0x1.0e2ec8d2852b7p-5"),
+    ],
+    ("reacher", "sym"): [
+        ("0x1.1b64566934fcap-4", "0x1.0d36d184071e3p-4"),
+        ("0x1.a4e1b1d51ff8ep-7", "0x1.d30d675b18897p-7"),
+        ("0x1.6fcd42e2adbcbp-8", "0x1.91a33fd0674aep-8"),
+        ("0x1.b84dc5355db7bp-9", "0x1.d7c2ff826f91ep-9"),
+        ("0x1.25fbfd5abe1d3p-9", "0x1.3f84a4015e47dp-9"),
+    ],
+    ("reacher", "base"): [
+        ("0x1.693b152ad95f2p-4", "0x1.783489b36b7d9p-4"),
+        ("0x1.578bf503781e4p-6", "0x1.59402471bdfa8p-6"),
+        ("0x1.2eb25c9ef1342p-7", "0x1.272e77cc2cae5p-7"),
+        ("0x1.60550059373ccp-8", "0x1.5a27ce5a0ae16p-8"),
+        ("0x1.cf4264306b3f8p-9", "0x1.cb1c03c5e1f7dp-9"),
+    ],
+}
+
+# (group, mode) -> sha256 prefix of predict() outputs, (batched, row by row).
+GOLDEN_PREDICT_DIGESTS = {
+    ("se2car", "delta"): ("4427517226110687", "69cb67e9544172c2"),
+    ("se2car", "absolute"): ("dab3ae40f40a50a7", "10e27b1277f0ce95"),
+    ("parking2", "delta"): ("d979cef730d2df63", "c3ccc9351455ac0e"),
+    ("parking2", "absolute"): ("5c6ad204cc11c024", "3be51f070fc98f5a"),
+    ("reacher", "delta"): ("3a01af79cc348625", "b528cd1bd0d79fe3"),
+    ("reacher", "absolute"): ("12ec27682f00db57", "9b9df2339443dfd1"),
+}
+
+# run_suites("all") at seed 0: (suite, subject, max_error as float hex).
+GOLDEN_VERIFY_MAX_ERRORS = [
+    ("axioms", "se2car", "0x1.b000000000000p-48"),
+    ("frame", "se2car", "0x1.0000000000000p-49"),
+    ("reduce-invariance", "se2car", "0x1.0000000000000p-50"),
+    ("frame-equivariance", "se2car", "0x1.0000000000000p-48"),
+    ("roundtrip", "se2car", "0x0.0p+0"),
+    ("model-invariance", "se2car", "0x1.8000000000000p-48"),
+    ("axioms", "const:6", "0x1.0000000000000p-48"),
+    ("frame", "const:6", "0x0.0p+0"),
+    ("reduce-invariance", "const:6", "0x0.0p+0"),
+    ("frame-equivariance", "const:6", "0x1.0000000000000p-50"),
+    ("roundtrip", "const:6", "0x0.0p+0"),
+    ("axioms", "parking2", "0x1.d000000000000p-48"),
+    ("frame", "parking2", "0x1.0000000000000p-49"),
+    ("reduce-invariance", "parking2", "0x1.0000000000000p-50"),
+    ("frame-equivariance", "parking2", "0x1.0000000000000p-48"),
+    ("roundtrip", "parking2", "0x0.0p+0"),
+    ("model-invariance", "parking2", "0x1.8000000000000p-48"),
+    ("axioms", "reacher", "0x1.5000000000000p-49"),
+    ("frame", "reacher", "0x1.0000000000000p-52"),
+    ("reduce-invariance", "reacher", "0x1.0000000000000p-50"),
+    ("frame-equivariance", "reacher", "0x1.8000000000000p-50"),
+    ("roundtrip", "reacher", "0x0.0p+0"),
+    ("model-invariance", "reacher", "0x1.c000000000000p-50"),
+    ("sim", "parking2", "0x1.0000000000000p-49"),
+    ("sim", "reacher", "0x1.4000000000000p-51"),
+    ("gradcheck", "1 hidden", "0x1.ed0c0fc0d8be0p-28"),
+    ("gradcheck", "2 hidden", "0x1.e1b5229d856d8p-26"),
+    ("gradcheck", "3 hidden", "0x1.bef6f4628f0d4p-23"),
+]
+
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_DATASET_HASHES), ids=lambda k: "-".join(map(str, k)))
 def test_dataset_content_hash_is_golden(key):
     env_id, policy, episodes, horizon, seed = key
     ds = generate_dataset(env_id, episodes, horizon, policy=policy, seed=seed)
     assert f"{ds.content_hash():016x}" == GOLDEN_DATASET_HASHES[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_TRAIN_SEQUENCES), ids=lambda k: "-".join(k))
+def test_train_metric_sequence_is_golden(key):
+    env_id, method = key
+    ds = generate_dataset(env_id, 20, 25, seed=5)
+    init_seed = derive_seed(0, "init")
+    if method == "sym":
+        model = build_symmetry_model(get_group(env_id), [32], seed=init_seed)
+    else:
+        model = build_baseline_model(ds.n, ds.n_u, [32], seed=init_seed)
+    records = train(model, ds, TrainConfig(updates=200, eval_every=50, batch_size=64, seed=0))
+    got = [(r.train_mse.hex(), r.test_mse.hex()) for r in records]
+    assert got == GOLDEN_TRAIN_SEQUENCES[key]
+
+
+def _digest(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_PREDICT_DIGESTS), ids=lambda k: "-".join(k))
+def test_untrained_predict_is_golden(key):
+    group_id, mode = key
+    group = get_group(group_id)
+    model = build_symmetry_model(group, [32, 32], seed=derive_seed(0, "golden", group_id, mode),
+                                 mode=mode)
+    rng = Rng(derive_seed(0, "golden-states", group_id))
+    x = group.random_state(rng, size=64)
+    u = group.random_control(rng, size=64)
+    batched = model.predict(x, u)
+    rows = np.stack([model.predict(x[i], u[i]) for i in range(64)])
+    assert (_digest(batched), _digest(rows)) == GOLDEN_PREDICT_DIGESTS[key]
+
+
+def test_verify_max_errors_are_golden():
+    got = [(r.suite, r.subject, r.max_error.hex()) for r in run_suites("all")]
+    assert got == GOLDEN_VERIFY_MAX_ERRORS

@@ -169,46 +169,3 @@ def test_baseline_arity_validation():
     with pytest.raises(ValueError, match="control"):
         model.predict(np.zeros(4), np.zeros(3))
 
-
-class TestHomomorphismShortcut:
-    def test_matches_general_path_for_linear_action(self):
-        group = HeadingRotationGroup()
-        model = _random_model(group, "delta", seed=21)
-        rng = Rng(18)
-        x = group.random_state(rng, size=300)
-        u = group.random_control(rng, size=300)
-        fast = model.predict_via_homomorphism(x, u)
-        general = model.predict(x, u)
-        assert np.max(np.abs(fast - general)) < 1e-12
-
-    def test_zero_regressor_fast_path_is_identity(self):
-        group = HeadingRotationGroup()
-        model = SymmetryReducedModel(
-            group, lambda z: np.zeros(z.shape[:-1] + (group.n,)), mode="delta"
-        )
-        x = group.random_state(Rng(19), size=50)
-        u = group.random_control(Rng(20), size=50)
-        assert np.max(np.abs(model.predict_via_homomorphism(x, u) - x)) < 1e-15
-
-    def test_translation_group_must_not_use_shortcut(self):
-        # The would-be shortcut value demonstrably differs once the action
-        # has a translation part, which is why the capability defaults off.
-        group = get_group("se2car")
-        model = _random_model(group, "delta", seed=22)
-        rng = Rng(21)
-        x = group.random_state(rng, size=100)
-        u = group.random_control(rng, size=100)
-        frame = group.moving_frame(x)
-        out = model.regressor(model.reduced_inputs(x, u))
-        would_be_fast = x + group.act_state(group.inverse(frame), out)
-        general = model.predict(x, u)
-        assert np.max(np.abs(would_be_fast - general)) > 1e-6
-        with pytest.raises(ValueError, match="not flagged additive"):
-            model.predict_via_homomorphism(x, u)
-
-    def test_shortcut_requires_delta_mode(self):
-        group = HeadingRotationGroup()
-        model = _random_model(group, "absolute", seed=23)
-        with pytest.raises(ValueError, match="delta"):
-            model.predict_via_homomorphism(group.random_state(Rng(2)),
-                                           group.random_control(Rng(3)))

@@ -44,6 +44,41 @@ class TestCarStep:
             assert abs(np.hypot(x[4], x[5]) - 1.0) < 1e-9
 
 
+def _scalar_parking_state(rng):
+    # Reference: one scalar draw per field, in field order.
+    blocks = []
+    for is_car in (True, True, False, False):
+        y, z, ang = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), rng.angles()
+        hy, hz = np.cos(ang), np.sin(ang)
+        if is_car:
+            speed = rng.uniform(-1.0, 1.0)
+            blocks.append([y, z, speed * hy, speed * hz, hy, hz])
+        else:
+            blocks.append([y, z, 0.0, 0.0, hy, hz])
+    return np.array(blocks).ravel()
+
+
+def _scalar_reacher_state(rng):
+    th1, th2 = rng.angles(), rng.angles()
+    w1, w2 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+    radius = 2.0 * 0.1 * np.sqrt(rng.uniform())
+    t_ang = rng.angles()
+    ty, tz = radius * np.cos(t_ang), radius * np.sin(t_ang)
+    fy, fz = _reacher_fingertip(th1, th2)
+    return np.array([np.cos(th1), np.cos(th2), np.sin(th1), np.sin(th2),
+                     ty, tz, w1, w2, fy - ty, fz - tz, 0.0])
+
+
+@pytest.mark.parametrize("env_id,reference", [("parking2", _scalar_parking_state),
+                                              ("reacher", _scalar_reacher_state)])
+def test_initial_state_block_draw_equals_scalar_draws(env_id, reference):
+    env = get_env(env_id)
+    for seed in range(200):
+        rng, ref_rng = Rng(seed), Rng(seed)
+        assert env.initial_state(rng).tobytes() == reference(ref_rng).tobytes()
+        assert rng.uniform() == ref_rng.uniform()  # same number of values drawn
+
+
 class TestReacherStep:
     def test_zero_torque_at_rest_keeps_angles(self):
         env = get_env("reacher")
