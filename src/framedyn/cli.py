@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import statistics
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from .training import (
     TrainingDivergedError,
     build_baseline_model,
     build_symmetry_model,
+    check_model_dataset,
     save_model,
     train,
     write_metrics_csv,
@@ -156,6 +158,7 @@ def cmd_train(args) -> int:
     s = _effective_train_settings(r, dataset)
     init_seed = derive_seed(s["seed"], "init")
     model = _build_model(dataset, s, init_seed)
+    check_model_dataset(model, dataset)
     label = "sym" if s["symmetry"] else "base"
     stem = str(Path(data_path).with_suffix(""))
     out_model = r.get("out_model", f"{stem}_{label}.fdm")
@@ -195,19 +198,10 @@ def _metrics_note(settings, dataset) -> dict:
 
 
 def _compare_cell(payload):
-    (data_path, layers, width, symmetry, seed, group_id, mode, activation,
-     lr, batch_size, updates, eval_every, test_fraction) = payload
+    data_path, layers, settings, config = payload
     dataset = read_jsonl(data_path)
-    init_seed = derive_seed(seed, "init", layers, int(symmetry))
-    settings = {
-        "symmetry": symmetry, "group_id": group_id, "mode": mode,
-        "hidden": (width,) * layers, "activation": activation,
-    }
+    init_seed = derive_seed(config.seed, "init", layers, int(settings["symmetry"]))
     model = _build_model(dataset, settings, init_seed)
-    config = TrainConfig(
-        learning_rate=lr, batch_size=batch_size, updates=updates,
-        eval_every=eval_every, test_fraction=test_fraction, seed=seed,
-    )
     try:
         records = train(model, dataset, config)
         return records, False
@@ -237,6 +231,13 @@ def cmd_compare(args) -> int:
     if not archs or min(archs) < 1 or len(set(archs)) != len(archs):
         raise ValueError(f"--archs must list distinct hidden layer counts >= 1, "
                          f"got {list(archs)}")
+    config = TrainConfig(
+        learning_rate=s["lr"], batch_size=s["batch_size"], updates=s["updates"],
+        eval_every=s["eval_every"], test_fraction=s["test_fraction"], seed=s["seed"],
+    )
+    # Reject a group, width or mode that does not fit before any output.
+    check_model_dataset(_build_model(dataset, {**s, "symmetry": True, "hidden": (width,)}, 0),
+                        dataset)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -245,13 +246,9 @@ def cmd_compare(args) -> int:
         for symmetry in (True, False):
             for run in range(runs):
                 seed = s["seed"] + run
-                cells.append(
-                    (layers, symmetry, seed,
-                     (str(data_path), layers, width, symmetry, seed,
-                      s["group_id"], s["mode"], s["activation"], s["lr"],
-                      s["batch_size"], s["updates"], s["eval_every"],
-                      s["test_fraction"]))
-                )
+                settings = {**s, "symmetry": symmetry, "hidden": (width,) * layers}
+                cells.append((layers, symmetry, seed, (str(data_path), layers, settings,
+                                                       dataclasses.replace(config, seed=seed))))
 
     print(
         f"comparison grid: archs={list(archs)} x methods=[symmetry, baseline] "

@@ -3,6 +3,11 @@
 Self-contained on purpose: training runs must be reproducible bit-for-bit
 from integer seeds (see :mod:`framedyn.rng`), and the gradient path is
 checked against central finite differences in the test suite.
+
+All parameters live in one contiguous float64 vector, ``flat_params``
+(layer by layer: weights row-major, then bias), of which ``weights`` and
+``biases`` are views; backward fills ``flat_grads`` in the same layout, and
+:class:`Adam` updates the whole vector at once, whatever the layer count.
 """
 
 from __future__ import annotations
@@ -41,17 +46,23 @@ class MlpSpec:
         return list(zip(dims[:-1], dims[1:]))
 
 
-def _act(name, z):
+def _activate(name, z):
+    """Apply the activation to ``z`` in place."""
     if name == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    else:
+        np.tanh(z, out=z)
 
 
-def _act_grad(name, z):
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    t = np.tanh(z)
-    return 1.0 - t * t
+def _layer_views(spec: MlpSpec, flat: np.ndarray):
+    """Per-layer (weights, biases) views of a flat parameter-layout vector."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in spec.layer_dims:
+        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
 
 
 class Mlp:
@@ -59,10 +70,15 @@ class Mlp:
     affine output.  Inputs may be single vectors or (batch, dim) arrays.
     """
 
-    def __init__(self, spec: MlpSpec, weights, biases):
+    def __init__(self, spec: MlpSpec):
         self.spec = spec
-        self.weights = weights  # each (fan_in, fan_out)
-        self.biases = biases  # each (fan_out,)
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in spec.layer_dims)
+        self.flat_params = np.zeros(size)
+        self.flat_grads = np.zeros(size)
+        self.input_dim, self.output_dim = spec.input_dim, spec.output_dim
+        # weights each (fan_in, fan_out), biases each (fan_out,)
+        self.weights, self.biases = _layer_views(spec, self.flat_params)
+        self._grad_w, self._grad_b = _layer_views(spec, self.flat_grads)
 
     @classmethod
     def from_spec(cls, spec: MlpSpec) -> "Mlp":
@@ -70,97 +86,83 @@ class Mlp:
         biases zero.  Entries are drawn layer by layer, row-major, from an
         :class:`Rng` seeded with ``spec.seed``.
         """
+        net = cls(spec)
         rng = Rng(spec.seed)
-        weights, biases = [], []
-        for fan_in, fan_out in spec.layer_dims:
+        for w in net.weights:
+            fan_in, fan_out = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(spec, weights, biases)
-
-    @property
-    def input_dim(self) -> int:
-        return self.spec.input_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.spec.output_dim
+            w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        return net
 
     def _check_input(self, x) -> tuple[np.ndarray, bool]:
         arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-            single = True
-        elif arr.ndim == 2:
-            single = False
-        else:
+        if arr.ndim not in (1, 2):
             raise ValueError(f"expected 1-D or 2-D input, got shape {arr.shape}")
-        if arr.shape[1] != self.spec.input_dim:
+        if arr.shape[-1] != self.input_dim:
             raise ValueError(
-                f"input length {arr.shape[1]} does not match input_dim {self.spec.input_dim}"
+                f"input length {arr.shape[-1]} does not match input_dim {self.input_dim}"
             )
-        return arr, single
+        return np.atleast_2d(arr), arr.ndim == 1
+
+    def _propagate(self, h, inputs):
+        """Run the layers, appending each layer's input to ``inputs`` if given."""
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if inputs is not None:
+                inputs.append(h)
+            h = h @ w
+            h += b
+            if i != last:
+                _activate(self.spec.activation, h)
+        return h
 
     def forward(self, x) -> np.ndarray:
         arr, single = self._check_input(x)
-        h = arr
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i != last:
-                h = _act(self.spec.activation, h)
+        h = self._propagate(arr, None)
         return h[0] if single else h
 
     __call__ = forward
 
     def forward_cached(self, x):
-        """Forward pass keeping layer inputs and pre-activations for backward."""
+        """Forward pass keeping each layer's input (then activation) for backward."""
         arr, _ = self._check_input(x)
-        inputs, pres = [], []
-        h = arr
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            inputs.append(h)
-            z = h @ w + b
-            pres.append(z)
-            h = z if i == last else _act(self.spec.activation, z)
-        return h, (inputs, pres)
+        inputs: list[np.ndarray] = []
+        return self._propagate(arr, inputs), inputs
 
     def backward(self, cache, grad_out) -> list[np.ndarray]:
         """Gradients of a scalar loss w.r.t. every parameter.
 
         ``grad_out`` is the loss gradient w.r.t. the network output,
-        shape (batch, output_dim).  Returns arrays aligned with
-        :meth:`parameters`.
+        shape (batch, output_dim).  The gradients are written into
+        ``flat_grads``; returns views of it aligned with :meth:`parameters`,
+        overwritten by the next call.
         """
-        inputs, pres = cache
         grad = np.asarray(grad_out, dtype=np.float64)
         if grad.ndim == 1:
             grad = grad[None, :]
-        grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.weights))
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
-            if i != last:
-                grad = grad * _act_grad(self.spec.activation, pres[i])
-            grads[2 * i] = inputs[i].T @ grad
-            grads[2 * i + 1] = grad.sum(axis=0)
+            if i != last:  # grad is a fresh array here, so scale it in place
+                a = cache[i + 1]
+                if self.spec.activation == "relu":
+                    grad *= a > 0.0
+                else:
+                    grad *= 1.0 - a * a
+            np.matmul(cache[i].T, grad, out=self._grad_w[i])
+            grad.sum(axis=0, out=self._grad_b[i])
             if i != 0:
                 grad = grad @ self.weights[i].T
-        return grads
+        return [g for pair in zip(self._grad_w, self._grad_b) for g in pair]
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     @property
     def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat_params.size
 
     def flatten_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        return self.flat_params.copy()
 
     def load_flat_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
@@ -168,31 +170,34 @@ class Mlp:
             raise ValueError(
                 f"parameter vector has {flat.size} entries, expected {self.param_count}"
             )
-        offset = 0
-        for p in self.parameters():
-            p[...] = flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
+        self.flat_params[...] = flat.reshape(-1)
 
 
 class Adam:
-    """Adaptive moment estimation with bias correction."""
+    """Adaptive moment estimation with bias correction, on one flat
+    parameter vector (:attr:`Mlp.flat_params`)."""
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m, self.v, self._scratch = (np.zeros_like(params) for _ in range(3))
         self.t = 0
 
     def step(self, params, grads) -> None:
+        """Update the flat ``params`` in place from the flat ``grads``: with
+        ``m += (1 - b1) * g`` and ``v += (1 - b2) * g * g``, ``p -= lr *
+        (m / bias1) / (sqrt(v / bias2) + eps)``, in that operation order."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self.t
-        bias2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        b1, b2, m, v, a = self.beta1, self.beta2, self.m, self.v, self._scratch
+        m *= b1
+        m += np.multiply(grads, 1.0 - b1, out=a)
+        v *= b2
+        np.multiply(grads, 1.0 - b2, out=a)
+        v += np.multiply(a, grads, out=a)
+        np.sqrt(np.divide(v, 1.0 - b2**self.t, out=a), out=a)
+        a += self.eps
+        update = np.divide(m, 1.0 - b1**self.t)
+        update *= self.lr
+        update /= a
+        params -= update

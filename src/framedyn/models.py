@@ -97,20 +97,31 @@ class SymmetryReducedModel:
         )
         return frame, framed, inputs
 
-    def predict(self, x, u) -> np.ndarray:
-        """One-step prediction; invariant under the group action for any
-        regressor.
-        """
-        group = self.group
+    def _encode(self, x, u):
+        """Regressor inputs and the decode context: the inverse frame and
+        the framed state."""
         frame, framed, inputs = self._canonical(x, u)
-        out = np.asarray(self.regressor(inputs), dtype=np.float64)
+        return inputs, (self.group._inverse(frame), framed)
+
+    def _decode(self, context, out) -> np.ndarray:
+        """Carry the regressor output back to original coordinates."""
+        group = self.group
+        inverse, framed = context
+        out = np.asarray(out, dtype=np.float64)
         if out.shape[-1] != group.n:
             raise ValueError(
                 f"regressor returned arity {out.shape[-1]}, expected {group.n}"
             )
         if self.mode == "delta":
             out = out + framed
-        return group._act_state(group._inverse(frame), out)
+        return group._act_state(inverse, out)
+
+    def predict(self, x, u) -> np.ndarray:
+        """One-step prediction; invariant under the group action for any
+        regressor.
+        """
+        inputs, context = self._encode(x, u)
+        return self._decode(context, self.regressor(inputs))
 
     def training_target(self, x, u, x_next) -> ReducedSample:
         """Map transitions to canonical regression pairs.
@@ -140,27 +151,30 @@ class BaselineModel:
         _check_arity(regressor, self.input_dim, self.output_dim,
                      f"n + n_u = {self.input_dim}")
 
-    def _check(self, x, u):
+    def _encode(self, x, u):
+        """Regressor inputs and the decode context, the state itself."""
         xv = np.asarray(x, dtype=np.float64)
         uv = np.asarray(u, dtype=np.float64)
         if xv.shape[-1] != self.n:
             raise ValueError(f"state must have last axis {self.n}, got {xv.shape}")
         if uv.shape[-1] != self.n_u:
             raise ValueError(f"control must have last axis {self.n_u}, got {uv.shape}")
-        return xv, uv
+        return np.concatenate([xv, uv], axis=-1), xv
 
-    def predict(self, x, u) -> np.ndarray:
-        xv, uv = self._check(x, u)
-        out = np.asarray(self.regressor(np.concatenate([xv, uv], axis=-1)), dtype=np.float64)
+    def _decode(self, xv, out) -> np.ndarray:
+        out = np.asarray(out, dtype=np.float64)
         if out.shape[-1] != self.n:
             raise ValueError(f"regressor returned arity {out.shape[-1]}, expected {self.n}")
         if self.mode == "absolute":
             return out
         return xv + out
 
+    def predict(self, x, u) -> np.ndarray:
+        inputs, xv = self._encode(x, u)
+        return self._decode(xv, self.regressor(inputs))
+
     def training_target(self, x, u, x_next) -> ReducedSample:
-        xv, uv = self._check(x, u)
+        inputs, xv = self._encode(x, u)
         xn = np.asarray(x_next, dtype=np.float64)
-        inputs = np.concatenate([xv, uv], axis=-1)
         targets = xn if self.mode == "absolute" else xn - xv
         return ReducedSample(inputs=inputs, targets=targets)

@@ -2,9 +2,11 @@
 
 The regression pairs are assembled once up front (canonical coordinates for
 the symmetry model, raw concatenation for the baseline) and the regressor is
-fitted with mean-squared error and Adam.  Reported metrics are always
-computed in the original state coordinates by running the full one-step
-prediction, so symmetry and baseline models are scored in the same space.
+fitted with mean-squared error and Adam on its flat parameter vector.
+Reported metrics are always computed in the original state coordinates by
+running the full one-step prediction, so symmetry and baseline models are
+scored in the same space.  The train and test splits are encoded (framed)
+once per run, so an evaluation is one regressor forward and one decode.
 
 Determinism contract: given the same dataset, model seed and config, the
 metric sequence is bit-identical (wall times excepted).  Three independent
@@ -58,8 +60,8 @@ class TrainConfig:
     split_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size <= 0 or self.updates <= 0 or self.eval_every <= 0:
             raise ValueError("batch_size, updates and eval_every must be positive")
         if not 0.0 < self.test_fraction < 1.0:
@@ -83,7 +85,8 @@ def train_test_split(count: int, test_fraction: float, split_seed: int):
     return perm[n_test:], perm[:n_test]
 
 
-def _check_model_dataset(model, dataset: TransitionDataset):
+def check_model_dataset(model, dataset: TransitionDataset):
+    """Reject a model whose state and control sizes differ from the dataset's."""
     if isinstance(model, SymmetryReducedModel):
         n, n_u = model.group.n, model.group.n_u
         what = f"group '{model.group.group_id}'"
@@ -97,10 +100,17 @@ def _check_model_dataset(model, dataset: TransitionDataset):
         )
 
 
-def observation_mse(model, dataset: TransitionDataset, indices) -> float:
-    """Mean squared one-step prediction error in original coordinates."""
-    pred = model.predict(dataset.x[indices], dataset.u[indices])
-    return float(np.mean((pred - dataset.x_next[indices]) ** 2))
+def _encode_split(model, dataset: TransitionDataset, indices):
+    """Regressor inputs, decode context and next states at ``indices``."""
+    return *model._encode(dataset.x[indices], dataset.u[indices]), dataset.x_next[indices]
+
+
+def observation_mse(model, dataset: TransitionDataset, indices, encoded=None) -> float:
+    """Mean squared one-step prediction error in original coordinates;
+    ``encoded`` is the ``_encode_split`` of ``indices`` when already known."""
+    inputs, context, x_next = encoded or _encode_split(model, dataset, indices)
+    pred = model._decode(context, model.regressor(inputs))
+    return float(np.mean((pred - x_next) ** 2))
 
 
 def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[MetricRecord]:
@@ -112,7 +122,7 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    _check_model_dataset(model, dataset)
+    check_model_dataset(model, dataset)
     regressor = model.regressor
     sample = model.training_target(dataset.x, dataset.u, dataset.x_next)
     inputs, targets = sample.inputs, sample.targets
@@ -122,16 +132,17 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
         split_seed = derive_seed(dataset.content_hash(), config.seed)
     train_idx, test_idx = train_test_split(len(dataset), config.test_fraction, split_seed)
 
+    train_split = _encode_split(model, dataset, train_idx)
+    test_split = _encode_split(model, dataset, test_idx)
     batch_rng = Rng(derive_seed(config.seed, "batches"))
-    adam = Adam(regressor.parameters(), lr=config.learning_rate,
-                betas=ADAM_BETAS, eps=ADAM_EPS)
+    adam = Adam(regressor.flat_params, lr=config.learning_rate, betas=ADAM_BETAS, eps=ADAM_EPS)
     records: list[MetricRecord] = []
     start = time.perf_counter()
 
     def record(update_index):
         try:
-            train_mse = observation_mse(model, dataset, train_idx)
-            test_mse = observation_mse(model, dataset, test_idx)
+            train_mse = observation_mse(model, dataset, train_idx, train_split)
+            test_mse = observation_mse(model, dataset, test_idx, test_split)
         except ValueError as e:
             raise TrainingDivergedError(
                 f"evaluation failed at update {update_index}: {e}", records
@@ -144,21 +155,23 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
             MetricRecord(update_index, train_mse, test_mse, time.perf_counter() - start)
         )
 
-    record(0)
     n_train = len(train_idx)
-    for update in range(1, config.updates + 1):
-        idx = train_idx[batch_rng.integers(n_train, size=config.batch_size)]
-        out, cache = regressor.forward_cached(inputs[idx])
-        diff = out - targets[idx]
-        loss = float(np.mean(diff * diff))
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"non-finite batch loss at update {update}", records
-            )
-        grads = regressor.backward(cache, (2.0 / diff.size) * diff)
-        adam.step(regressor.parameters(), grads)
-        if update % config.eval_every == 0 or update == config.updates:
-            record(update)
+    # Overflow is caught by the finiteness checks, not reported as warnings.
+    with np.errstate(all="ignore"):
+        record(0)
+        for update in range(1, config.updates + 1):
+            idx = train_idx[batch_rng.integers(n_train, size=config.batch_size)]
+            out, cache = regressor.forward_cached(inputs[idx])
+            diff = out - targets[idx]
+            loss = float(np.mean(diff * diff))
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite batch loss at update {update}", records
+                )
+            regressor.backward(cache, (2.0 / diff.size) * diff)
+            adam.step(regressor.flat_params, regressor.flat_grads)
+            if update % config.eval_every == 0 or update == config.updates:
+                record(update)
     return records
 
 
@@ -270,7 +283,7 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
         hidden_layers=tuple(field("mlp.hidden_layers")),
         activation=field("mlp.activation"), seed=int(field("mlp.seed")),
     )
-    regressor = Mlp.from_spec(spec)
+    regressor = Mlp(spec)  # zero parameters, replaced by the stored ones
     regressor.load_flat_params(params)
 
     expected_id = group.group_id if isinstance(group, TransformationGroup) else group

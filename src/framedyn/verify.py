@@ -199,15 +199,15 @@ def check_gradient_exactness(
             grads = net.backward(cache, (2.0 / diff.size) * diff)
             flat_grads = np.concatenate([gr.ravel() for gr in grads])
             params = net.flatten_params()
-            base_signs = [z > 0.0 for z in cache[1][:-1]]
+            base_signs = [a > 0.0 for a in cache[1:]]
 
             def loss_at(p):
                 """Loss at ``p``, and whether a relu pre-activation changed sign."""
                 net.load_flat_params(p)
-                out, (_, pres) = net.forward_cached(x)
+                out, inputs = net.forward_cached(x)
                 d = out - y
                 kink = activation == "relu" and any(
-                    np.any((z > 0.0) != s) for z, s in zip(pres, base_signs)
+                    np.any((a > 0.0) != s) for a, s in zip(inputs[1:], base_signs)
                 )
                 return float(np.mean(d * d)), kink
 

@@ -4,6 +4,8 @@ These are written straight from the derivations (solve the cross-section
 equations for each group), kept deliberately separate from the library code
 paths they check: the library computes reductions by composing the frame
 action with the b-projection, and frame inverses through the group inverse.
+:class:`LoopAdam` is the per-parameter Adam loop that the fused update on a
+flat parameter vector must reproduce bit for bit.
 """
 
 import numpy as np
@@ -42,3 +44,27 @@ def reacher_reduce(x):
          x[0] * (x[8] + x[4]) + x[2] * (x[9] + x[5]),
          -x[2] * (x[8] + x[4]) + x[0] * (x[9] + x[5])]
     )
+
+
+class LoopAdam:
+    """Adam with bias correction, one parameter array at a time."""
+
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+        self.lr = float(lr)
+        self.beta1, self.beta2 = betas
+        self.eps = float(eps)
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

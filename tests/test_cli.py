@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,35 @@ class TestTrain:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert not (tmp_path / "x.fdm").exists()
 
+    @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "inf"],
+                                       ["--group", "se2car"]])
+    def test_nonfinite_lr_or_group_arity_fails_before_any_output(
+        self, dataset_path, tmp_path, capsys, flags
+    ):
+        assert run(["train", "--data", str(dataset_path), *flags,
+                    "--out-model", str(tmp_path / "x.fdm"),
+                    "--out-metrics", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not (tmp_path / "x.fdm").exists()
+
+    def test_divergence_prints_only_the_error(self, dataset_path, tmp_path):
+        # numpy overflow warnings would otherwise reach stderr; run a fresh
+        # interpreter so that stderr is exactly what a user sees.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "framedyn", "train", "--data", str(dataset_path),
+             "--lr", "1e308", "--hidden", "8", "--updates", "20", "--eval-every", "10",
+             "--out-model", str(tmp_path / "x.fdm"), "--out-metrics", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: training diverged")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
 
 class TestCompare:
     def test_grid_counting_and_schema(self, dataset_path, tmp_path, capsys):
@@ -149,6 +182,19 @@ class TestCompare:
                     "--out-dir", str(out_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --archs") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "-1"],
+                                       ["--lr", "inf"], ["--group", "se2car"]])
+    def test_invalid_config_fails_before_any_output(self, dataset_path, tmp_path, capsys,
+                                                    flags):
+        out_dir = tmp_path / "cmp"
+        assert run(["compare", "--data", str(dataset_path), *flags, "--archs", "1",
+                    "--runs", "1", "--updates", "10", "--eval-every", "10",
+                    "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert not out_dir.exists()
 
     def test_workers_give_same_summary(self, dataset_path, tmp_path):

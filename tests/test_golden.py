@@ -14,7 +14,13 @@ import pytest
 from framedyn.builtin import get_group
 from framedyn.rng import Rng, derive_seed
 from framedyn.sim import generate_dataset
-from framedyn.training import TrainConfig, build_baseline_model, build_symmetry_model, train
+from framedyn.training import (
+    TrainConfig,
+    build_baseline_model,
+    build_symmetry_model,
+    save_model,
+    train,
+)
 from framedyn.verify import run_suites
 
 # (env, policy, episodes, horizon, seed) -> content_hash() as 16 hex digits.
@@ -62,6 +68,47 @@ GOLDEN_TRAIN_SEQUENCES = {
         ("0x1.2eb25c9ef1342p-7", "0x1.272e77cc2cae5p-7"),
         ("0x1.60550059373ccp-8", "0x1.5a27ce5a0ae16p-8"),
         ("0x1.cf4264306b3f8p-9", "0x1.cb1c03c5e1f7dp-9"),
+    ],
+}
+
+# (env, method) -> sha256 prefix of the model file save_model writes after
+# the run above (train_seed=0).
+GOLDEN_MODEL_DIGESTS = {
+    ("parking2", "base"): "b1a48132dbc1f80b",
+    ("parking2", "sym"): "12db37708047b311",
+    ("reacher", "base"): "4a74cb6f2b72cee2",
+    ("reacher", "sym"): "201cbfaa905592c7",
+}
+
+# As GOLDEN_TRAIN_SEQUENCES, for [32, 32] tanh networks in absolute mode.
+GOLDEN_TANH_SEQUENCES = {
+    ("parking2", "base"): [
+        ("0x1.aa90e80e680ddp+1", "0x1.94aa0bccd21d9p+1"),
+        ("0x1.ac5e855412ffdp+0", "0x1.99e69e1263361p+0"),
+        ("0x1.012873f4b14bdp+0", "0x1.f04b62c11c466p-1"),
+        ("0x1.4225048b5f23cp-1", "0x1.3cdd89aee93cfp-1"),
+        ("0x1.9161fcab0f2b8p-2", "0x1.8e9dadbdc03d7p-2"),
+    ],
+    ("parking2", "sym"): [
+        ("0x1.8b3222c180c11p-3", "0x1.78e601b6a7a9fp-3"),
+        ("0x1.0f56ca2f72a6dp-5", "0x1.07d7366c0b40bp-5"),
+        ("0x1.6b10c1e2a140fp-10", "0x1.ab25db64bb47ap-10"),
+        ("0x1.36ca41e81023dp-11", "0x1.79e7f42c1f662p-11"),
+        ("0x1.0d5943d6fe54fp-11", "0x1.497302f498677p-11"),
+    ],
+    ("reacher", "base"): [
+        ("0x1.9f3919332b7fdp-2", "0x1.a2d919e5007b8p-2"),
+        ("0x1.d4bbe7147484dp-5", "0x1.c6c67a99856c0p-5"),
+        ("0x1.76f27190836e3p-7", "0x1.8d97fb8178465p-7"),
+        ("0x1.0b3dc4d3f46b1p-8", "0x1.299b1dd74c04ap-8"),
+        ("0x1.478aa7461b156p-9", "0x1.7218042643e00p-9"),
+    ],
+    ("reacher", "sym"): [
+        ("0x1.6b27e72356416p-2", "0x1.5af6143ee4acbp-2"),
+        ("0x1.2314fe6fe4a38p-5", "0x1.59fb857d54683p-5"),
+        ("0x1.4025f496d0b83p-8", "0x1.a4dc459e259e6p-8"),
+        ("0x1.c47d6fc2d2867p-10", "0x1.0d5f8d2f008a8p-9"),
+        ("0x1.2b64c9df09811p-10", "0x1.6a61b59cf82aap-10"),
     ],
 }
 
@@ -115,18 +162,32 @@ def test_dataset_content_hash_is_golden(key):
     assert f"{ds.content_hash():016x}" == GOLDEN_DATASET_HASHES[key]
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN_TRAIN_SEQUENCES), ids=lambda k: "-".join(k))
-def test_train_metric_sequence_is_golden(key):
-    env_id, method = key
+def _golden_run(env_id, method, hidden=(32,), activation="relu", mode="delta"):
     ds = generate_dataset(env_id, 20, 25, seed=5)
     init_seed = derive_seed(0, "init")
     if method == "sym":
-        model = build_symmetry_model(get_group(env_id), [32], seed=init_seed)
+        model = build_symmetry_model(get_group(env_id), hidden, activation=activation,
+                                     seed=init_seed, mode=mode)
     else:
-        model = build_baseline_model(ds.n, ds.n_u, [32], seed=init_seed)
+        model = build_baseline_model(ds.n, ds.n_u, hidden, activation=activation,
+                                     seed=init_seed, mode=mode)
     records = train(model, ds, TrainConfig(updates=200, eval_every=50, batch_size=64, seed=0))
-    got = [(r.train_mse.hex(), r.test_mse.hex()) for r in records]
+    return model, [(r.train_mse.hex(), r.test_mse.hex()) for r in records]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_TRAIN_SEQUENCES), ids=lambda k: "-".join(k))
+def test_train_metric_sequence_is_golden(key, tmp_path):
+    model, got = _golden_run(*key)
     assert got == GOLDEN_TRAIN_SEQUENCES[key]
+    path = tmp_path / "m.fdm"
+    save_model(path, model, train_seed=0)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == GOLDEN_MODEL_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_TANH_SEQUENCES), ids=lambda k: "-".join(k))
+def test_two_layer_tanh_absolute_sequence_is_golden(key):
+    _, got = _golden_run(*key, hidden=(32, 32), activation="tanh", mode="absolute")
+    assert got == GOLDEN_TANH_SEQUENCES[key]
 
 
 def _digest(arr) -> str:

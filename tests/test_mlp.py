@@ -5,6 +5,8 @@ from framedyn.mlp import Adam, Mlp, MlpSpec, ACTIVATIONS
 from framedyn.rng import Rng
 from framedyn.verify import check_gradient_exactness
 
+import oracles
+
 
 def _reference_forward(net, x):
     # Independent evaluator: per-neuron dot products, no matrix algebra.
@@ -108,14 +110,46 @@ def test_adam_decreases_loss_on_linear_problem():
     x = rng.uniform(-1, 1, size=(64, 4))
     y = x @ true_w
     net = Mlp.from_spec(MlpSpec(input_dim=4, output_dim=2, hidden_layers=(), seed=2))
-    adam = Adam(net.parameters(), lr=1e-2)
+    adam = Adam(net.flat_params, lr=1e-2)
     losses = []
     for _ in range(200):
         out, cache = net.forward_cached(x)
         diff = out - y
         losses.append(float(np.mean(diff * diff)))
-        adam.step(net.parameters(), net.backward(cache, (2.0 / diff.size) * diff))
+        net.backward(cache, (2.0 / diff.size) * diff)
+        adam.step(net.flat_params, net.flat_grads)
     assert losses[-1] < 0.05 * losses[0]
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_fused_adam_matches_per_parameter_loop(activation):
+    spec = MlpSpec(input_dim=5, output_dim=3, hidden_layers=(16, 12),
+                   activation=activation, seed=4)
+    fused_net, loop_net = Mlp.from_spec(spec), Mlp.from_spec(spec)
+    fused = Adam(fused_net.flat_params, lr=1e-2)
+    loop = oracles.LoopAdam(loop_net.parameters(), lr=1e-2)
+    rng = Rng(8)
+    for _ in range(50):
+        x = rng.uniform(-1, 1, size=(32, 5))
+        y = rng.uniform(-1, 1, size=(32, 3))
+        for net in (fused_net, loop_net):
+            out, cache = net.forward_cached(x)
+            grads = net.backward(cache, (2.0 / out.size) * (out - y))
+            if net is fused_net:
+                fused.step(net.flat_params, net.flat_grads)
+            else:
+                loop.step(net.parameters(), grads)
+        assert fused_net.flat_params.tobytes() == loop_net.flat_params.tobytes()
+    assert not np.array_equal(fused_net.flat_params, Mlp.from_spec(spec).flat_params)
+
+
+def test_backward_writes_flat_gradient_views():
+    net = Mlp.from_spec(MlpSpec(input_dim=3, output_dim=2, hidden_layers=(4, 5)))
+    _, cache = net.forward_cached(Rng(2).uniform(-1, 1, size=(6, 3)))
+    grads = net.backward(cache, np.ones((6, 2)))
+    assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+    assert all(np.shares_memory(g, net.flat_grads) for g in grads)
+    assert np.array_equal(np.concatenate([g.ravel() for g in grads]), net.flat_grads)
 
 
 def test_init_is_deterministic_per_seed():
@@ -124,6 +158,33 @@ def test_init_is_deterministic_per_seed():
     assert np.array_equal(a.flatten_params(), b.flatten_params())
     c = Mlp.from_spec(MlpSpec(input_dim=6, output_dim=4, hidden_layers=(32,), seed=78))
     assert not np.array_equal(a.flatten_params(), c.flatten_params())
+
+
+def test_flatten_params_is_an_independent_copy():
+    net = Mlp.from_spec(MlpSpec(input_dim=3, output_dim=2, hidden_layers=(5,)))
+    flat = net.flatten_params()
+    before = flat.copy()
+    net.weights[0][...] = 7.0
+    assert np.array_equal(flat, before)
+    flat[:] = -1.0
+    assert np.all(net.weights[0] == 7.0)
+    assert not np.shares_memory(flat, net.flat_params)
+
+
+def test_load_flat_params_keeps_layer_views():
+    spec = MlpSpec(input_dim=3, output_dim=2, hidden_layers=(5, 4), activation="tanh")
+    net = Mlp.from_spec(spec)
+    x = Rng(3).uniform(-1, 1, size=(7, 3))
+    before = net.forward(x)
+    new = Mlp.from_spec(MlpSpec(input_dim=3, output_dim=2, hidden_layers=(5, 4),
+                                activation="tanh", seed=11)).flatten_params()
+    net.load_flat_params(new)
+    assert not np.array_equal(net.forward(x), before)
+    for p in net.parameters():
+        assert np.shares_memory(p, net.flat_params)
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.parameters()]), new)
+    net.flat_params[0] = 123.0
+    assert net.weights[0][0, 0] == 123.0
 
 
 def test_flatten_load_roundtrip():

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from framedyn import training
 from framedyn.builtin import get_group
 from framedyn.dataset import TransitionDataset
 from framedyn.rng import Rng
@@ -128,6 +129,35 @@ def test_orbit_transformed_data_leaves_symmetry_metrics_unchanged(
     assert base_drift > 1e-6
 
 
+@pytest.mark.parametrize("mode", ["delta", "absolute"])
+@pytest.mark.parametrize("method", ["sym", "base"])
+@pytest.mark.parametrize("env", ["parking2", "reacher"])
+def test_every_record_equals_plain_observation_mse(
+    monkeypatch, env, method, mode, small_parking_dataset, small_reacher_dataset
+):
+    # train() scores splits it encoded once per run; each recorded value must
+    # equal the plain (model, dataset, indices) form and the MSE of predict.
+    ds = small_parking_dataset if env == "parking2" else small_reacher_dataset
+    if method == "sym":
+        model = build_symmetry_model(get_group(env), [16], seed=2, mode=mode)
+    else:
+        model = build_baseline_model(ds.n, ds.n_u, [16], seed=2, mode=mode)
+    evaluated = []
+
+    def checked(model, dataset, indices, *args):
+        got = observation_mse(model, dataset, indices, *args)
+        pred = model.predict(dataset.x[indices], dataset.u[indices])
+        via_predict = float(np.mean((pred - dataset.x_next[indices]) ** 2))
+        assert got.hex() == observation_mse(model, dataset, indices).hex() == via_predict.hex()
+        evaluated.append(got)
+        return got
+
+    monkeypatch.setattr(training, "observation_mse", checked)
+    records = train(model, ds, TrainConfig(updates=90, eval_every=30, batch_size=32, seed=1))
+    assert [r.update_index for r in records] == [0, 30, 60, 90]
+    assert evaluated == [v for r in records for v in (r.train_mse, r.test_mse)]
+
+
 def test_dimension_mismatch_between_model_and_dataset():
     ds = _constant_target_dataset(n=3, n_u=2)
     with pytest.raises(ValueError, match="baseline model expects"):
@@ -156,8 +186,9 @@ def test_divergence_raises_with_metrics():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
