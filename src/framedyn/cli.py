@@ -25,6 +25,8 @@ from .dataset import DatasetFormatError, read_jsonl, write_jsonl
 from .rng import derive_seed
 from .sim import ENVS, POLICIES, generate_dataset, get_env
 from .training import (
+    ADAM_BETAS,
+    ADAM_EPS,
     ModelFormatError,
     TrainConfig,
     TrainingDivergedError,
@@ -111,16 +113,19 @@ def cmd_gen_data(args) -> int:
 # -- train ---------------------------------------------------------------------
 
 
+def _env_defaults(dataset) -> tuple[int, int]:
+    """Default update count and hidden width for the dataset's environment."""
+    env = ENVS.get(dataset.env_id)
+    return (env.default_updates, env.default_hidden) if env else (10000, 64)
+
+
 def _effective_train_settings(r, dataset):
-    try:
-        env = get_env(dataset.env_id)
-        default_updates, default_hidden = env.default_updates, env.default_hidden
-    except ValueError:
-        default_updates, default_hidden = 10000, 64
+    """Resolved settings (echoed in metrics notes) and their TrainConfig."""
+    default_updates, default_hidden = _env_defaults(dataset)
     symmetry = r.get("symmetry", "on")
     if symmetry not in ("on", "off"):
         raise ValueError(f"--symmetry must be 'on' or 'off', got {symmetry!r}")
-    return {
+    s = {
         "symmetry": symmetry == "on",
         "group_id": r.get("group", dataset.env_id),
         "mode": r.get("mode", "delta"),
@@ -134,6 +139,11 @@ def _effective_train_settings(r, dataset):
         "seed": r.get("seed", 0, int),
         "split_seed": r.get("split_seed", None, int),
     }
+    return s, TrainConfig(
+        learning_rate=s["lr"], batch_size=s["batch_size"], updates=s["updates"],
+        eval_every=s["eval_every"], test_fraction=s["test_fraction"],
+        seed=s["seed"], split_seed=s["split_seed"],
+    )
 
 
 def _build_model(dataset, settings, init_seed):
@@ -155,7 +165,7 @@ def cmd_train(args) -> int:
     if data_path is None:
         raise ValueError("--data is required")
     dataset = read_jsonl(data_path)
-    s = _effective_train_settings(r, dataset)
+    s, config = _effective_train_settings(r, dataset)
     init_seed = derive_seed(s["seed"], "init")
     model = _build_model(dataset, s, init_seed)
     check_model_dataset(model, dataset)
@@ -163,11 +173,6 @@ def cmd_train(args) -> int:
     stem = str(Path(data_path).with_suffix(""))
     out_model = r.get("out_model", f"{stem}_{label}.fdm")
     out_metrics = r.get("out_metrics", f"{stem}_{label}_metrics.csv")
-    config = TrainConfig(
-        learning_rate=s["lr"], batch_size=s["batch_size"], updates=s["updates"],
-        eval_every=s["eval_every"], test_fraction=s["test_fraction"],
-        seed=s["seed"], split_seed=s["split_seed"],
-    )
 
     print(f"training {'symmetry' if s['symmetry'] else 'baseline'} model on {data_path}")
     print(f"model input dim: {model.input_dim}")
@@ -188,8 +193,8 @@ def _metrics_note(settings, dataset) -> dict:
     note = dict(settings)
     note["hidden"] = list(note["hidden"])
     note["env_id"] = dataset.env_id
-    note["adam_betas"] = [0.9, 0.999]
-    note["adam_eps"] = 1e-8
+    note["adam_betas"] = list(ADAM_BETAS)
+    note["adam_eps"] = ADAM_EPS
     note["loss"] = "mse"
     return note
 
@@ -197,9 +202,8 @@ def _metrics_note(settings, dataset) -> dict:
 # -- compare -------------------------------------------------------------------
 
 
-def _compare_cell(payload):
-    data_path, layers, settings, config = payload
-    dataset = read_jsonl(data_path)
+def _compare_cell(dataset, settings, config):
+    layers = len(settings["hidden"])
     init_seed = derive_seed(config.seed, "init", layers, int(settings["symmetry"]))
     model = _build_model(dataset, settings, init_seed)
     try:
@@ -216,39 +220,33 @@ def cmd_compare(args) -> int:
     if data_path is None or out_dir is None:
         raise ValueError("--data and --out-dir are required")
     dataset = read_jsonl(data_path)
-    s = _effective_train_settings(r, dataset)
-    try:
-        env = get_env(dataset.env_id)
-        default_width = env.default_hidden
-    except ValueError:
-        default_width = 64
+    s, config = _effective_train_settings(r, dataset)
     archs = r.get("archs", (1, 2, 3), _parse_int_list)
-    width = r.get("hidden_size", default_width, int)
+    width = r.get("hidden_size", _env_defaults(dataset)[1], int)
     runs = r.get("runs", 4, int)
     workers = r.get("workers", 1, int)
     if runs < 1:
         raise ValueError("--runs must be at least 1")
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
     if not archs or min(archs) < 1 or len(set(archs)) != len(archs):
         raise ValueError(f"--archs must list distinct hidden layer counts >= 1, "
                          f"got {list(archs)}")
-    config = TrainConfig(
-        learning_rate=s["lr"], batch_size=s["batch_size"], updates=s["updates"],
-        eval_every=s["eval_every"], test_fraction=s["test_fraction"], seed=s["seed"],
-    )
     # Reject a group, width or mode that does not fit before any output.
     check_model_dataset(_build_model(dataset, {**s, "symmetry": True, "hidden": (width,)}, 0),
                         dataset)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = []
+    cells = {}  # (layers, symmetry, seed) -> (settings, config)
     for layers in archs:
         for symmetry in (True, False):
             for run in range(runs):
                 seed = s["seed"] + run
-                settings = {**s, "symmetry": symmetry, "hidden": (width,) * layers}
-                cells.append((layers, symmetry, seed, (str(data_path), layers, settings,
-                                                       dataclasses.replace(config, seed=seed))))
+                cells[(layers, symmetry, seed)] = (
+                    {**s, "symmetry": symmetry, "hidden": (width,) * layers, "seed": seed},
+                    dataclasses.replace(config, seed=seed),
+                )
 
     print(
         f"comparison grid: archs={list(archs)} x methods=[symmetry, baseline] "
@@ -258,24 +256,20 @@ def cmd_compare(args) -> int:
     results = {}
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_compare_cell, payload): (layers, symmetry, seed)
-                for layers, symmetry, seed, payload in cells
-            }
+            futures = {pool.submit(_compare_cell, dataset, *cell): key
+                       for key, cell in cells.items()}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()
     else:
-        for layers, symmetry, seed, payload in cells:
-            results[(layers, symmetry, seed)] = _compare_cell(payload)
+        for key, cell in cells.items():
+            results[key] = _compare_cell(dataset, *cell)
 
     diverged = []
-    for layers, symmetry, seed, _ in cells:
+    for (layers, symmetry, seed), (settings, _) in cells.items():
         records, bad = results[(layers, symmetry, seed)]
         label = "sym" if symmetry else "base"
         name = f"{dataset.env_id}_h{layers}_{label}_s{seed}.csv"
-        note = _metrics_note({**s, "symmetry": symmetry,
-                              "hidden": (width,) * layers, "seed": seed}, dataset)
-        write_metrics_csv(out / name, records, note)
+        write_metrics_csv(out / name, records, _metrics_note(settings, dataset))
         if bad:
             diverged.append((layers, label, seed))
             print(f"warning: run arch={layers} {label} seed={seed} diverged",

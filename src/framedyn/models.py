@@ -13,8 +13,9 @@ Both models support two regression targets: ``absolute`` (predict the next
 state directly) and ``delta`` (predict next state minus current state, the
 usual choice).
 
-The symmetry model's public methods validate ``x``, ``u`` and ``x_next``
-once (shape and finiteness), then work on the group's raw coordinate maps:
+``predict`` and ``training_target`` share one private encode path per model
+that validates the inputs once (next states must have the states' shape).
+The symmetry model's path then works on the group's raw coordinate maps:
 one moving frame and one framed state per call.
 
 Predictions are returned exactly as the regressor produces them; unit-norm
@@ -84,9 +85,9 @@ class SymmetryReducedModel:
                      f"reduced input size {self.input_dim} "
                      f"(= b_dim {group.b_dim} + n_u {group.n_u})")
 
-    def _canonical(self, x, u):
-        """Validate ``x`` and ``u``; return the frame coordinates, the framed
-        state and the regressor inputs (reduced state, then framed control)."""
+    def _encode(self, x, u, x_next=None):
+        """Regressor inputs (reduced state, then framed control), the decode
+        context (inverse frame, framed state) and the targets for ``x_next``."""
         group = self.group
         xv = group._require_vector(x, group.n, "state")
         uv = group._require_vector(u, group.n_u, "control")
@@ -95,13 +96,15 @@ class SymmetryReducedModel:
         inputs = np.concatenate(
             [framed[..., group.b_indices], group._act_control(frame, uv)], axis=-1
         )
-        return frame, framed, inputs
-
-    def _encode(self, x, u):
-        """Regressor inputs and the decode context: the inverse frame and
-        the framed state."""
-        frame, framed, inputs = self._canonical(x, u)
-        return inputs, (self.group._inverse(frame), framed)
+        targets = None
+        if x_next is not None:
+            xn = group._require_vector(x_next, group.n, "next state")
+            if xn.shape != xv.shape:
+                raise ValueError(f"next state shape {xn.shape} differs from state {xv.shape}")
+            targets = group._act_state(frame, xn)
+            if self.mode == "delta":
+                targets = targets - framed
+        return inputs, (group._inverse(frame), framed), targets
 
     def _decode(self, context, out) -> np.ndarray:
         """Carry the regressor output back to original coordinates."""
@@ -120,7 +123,7 @@ class SymmetryReducedModel:
         """One-step prediction; invariant under the group action for any
         regressor.
         """
-        inputs, context = self._encode(x, u)
+        inputs, context, _ = self._encode(x, u)
         return self._decode(context, self.regressor(inputs))
 
     def training_target(self, x, u, x_next) -> ReducedSample:
@@ -129,12 +132,7 @@ class SymmetryReducedModel:
         The pair is frame-independent: transitions that differ only by a
         group element map to the same (inputs, targets).
         """
-        group = self.group
-        frame, framed, inputs = self._canonical(x, u)
-        xn = group._require_vector(x_next, group.n, "next state")
-        targets = group._act_state(frame, xn)
-        if self.mode == "delta":
-            targets = targets - framed
+        inputs, _, targets = self._encode(x, u, x_next)
         return ReducedSample(inputs=inputs, targets=targets)
 
 
@@ -151,15 +149,21 @@ class BaselineModel:
         _check_arity(regressor, self.input_dim, self.output_dim,
                      f"n + n_u = {self.input_dim}")
 
-    def _encode(self, x, u):
-        """Regressor inputs and the decode context, the state itself."""
+    def _encode(self, x, u, x_next=None):
+        """Regressor inputs, the decode context (the state) and the targets."""
         xv = np.asarray(x, dtype=np.float64)
         uv = np.asarray(u, dtype=np.float64)
         if xv.shape[-1] != self.n:
             raise ValueError(f"state must have last axis {self.n}, got {xv.shape}")
         if uv.shape[-1] != self.n_u:
             raise ValueError(f"control must have last axis {self.n_u}, got {uv.shape}")
-        return np.concatenate([xv, uv], axis=-1), xv
+        targets = None
+        if x_next is not None:
+            xn = np.asarray(x_next, dtype=np.float64)
+            if xn.shape != xv.shape:
+                raise ValueError(f"next state shape {xn.shape} differs from state {xv.shape}")
+            targets = xn if self.mode == "absolute" else xn - xv
+        return np.concatenate([xv, uv], axis=-1), xv, targets
 
     def _decode(self, xv, out) -> np.ndarray:
         out = np.asarray(out, dtype=np.float64)
@@ -170,11 +174,9 @@ class BaselineModel:
         return xv + out
 
     def predict(self, x, u) -> np.ndarray:
-        inputs, xv = self._encode(x, u)
+        inputs, xv, _ = self._encode(x, u)
         return self._decode(xv, self.regressor(inputs))
 
     def training_target(self, x, u, x_next) -> ReducedSample:
-        inputs, xv = self._encode(x, u)
-        xn = np.asarray(x_next, dtype=np.float64)
-        targets = xn if self.mode == "absolute" else xn - xv
+        inputs, _, targets = self._encode(x, u, x_next)
         return ReducedSample(inputs=inputs, targets=targets)

@@ -8,8 +8,8 @@ numpy's own generator evolution.  The scheme, precisely:
 * Seed derivation / mixing uses the splitmix64 finalizer
   (``mix64``); string tags are folded in via the first 8 bytes of their
   SHA-256 digest, little-endian.
-* Uniform values come from a bank of ``bank_size`` xorshift64* streams
-  advanced in lockstep.  Stream ``j`` starts at
+* Uniform values come from a bank of ``BANK_SIZE`` (1024) xorshift64*
+  streams advanced in lockstep.  Stream ``j`` starts at
   ``mix64(seed + (j + 1) * 0x9E3779B97F4A7C15)`` (zero states are replaced by
   the golden-ratio constant).  Each advance applies
   ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27`` and outputs
@@ -30,6 +30,7 @@ import numpy as np
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _XS_MULT = np.uint64(0x2545F4914F6CDD1D)
+BANK_SIZE = 1024
 
 
 def mix64(z: int) -> int:
@@ -60,10 +61,10 @@ def derive_seed(seed: int, *parts: int | str) -> int:
 class Rng:
     """Buffered bank of xorshift64* streams (see module docstring)."""
 
-    def __init__(self, seed: int, bank_size: int = 1024):
+    def __init__(self, seed: int):
         self.seed = seed & _MASK
         base = np.uint64(self.seed)
-        j = np.arange(1, bank_size + 1, dtype=np.uint64)
+        j = np.arange(1, BANK_SIZE + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             state = base + j * np.uint64(_GOLDEN)
             state ^= state >> np.uint64(30)

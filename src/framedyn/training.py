@@ -1,12 +1,12 @@
 """Training loop, metrics, and model persistence.
 
-The regression pairs are assembled once up front (canonical coordinates for
-the symmetry model, raw concatenation for the baseline) and the regressor is
-fitted with mean-squared error and Adam on its flat parameter vector.
-Reported metrics are always computed in the original state coordinates by
-running the full one-step prediction, so symmetry and baseline models are
-scored in the same space.  The train and test splits are encoded (framed)
-once per run, so an evaluation is one regressor forward and one decode.
+Each run encodes its train and test splits once, so every transition is
+validated and framed a single time: the regression pairs (canonical
+coordinates for the symmetry model, raw concatenation for the baseline) for
+fitting with mean-squared error and Adam on the flat parameter vector, and
+the decode context for metrics.  Reported metrics are always computed in the
+original state coordinates by running the full one-step prediction, so
+symmetry and baseline models are scored in the same space.
 
 Determinism contract: given the same dataset, model seed and config, the
 metric sequence is bit-identical (wall times excepted).  Three independent
@@ -101,14 +101,15 @@ def check_model_dataset(model, dataset: TransitionDataset):
 
 
 def _encode_split(model, dataset: TransitionDataset, indices):
-    """Regressor inputs, decode context and next states at ``indices``."""
-    return *model._encode(dataset.x[indices], dataset.u[indices]), dataset.x_next[indices]
+    """Regressor inputs, decode context, targets and next states at ``indices``."""
+    x_next = dataset.x_next[indices]
+    return *model._encode(dataset.x[indices], dataset.u[indices], x_next), x_next
 
 
 def observation_mse(model, dataset: TransitionDataset, indices, encoded=None) -> float:
     """Mean squared one-step prediction error in original coordinates;
     ``encoded`` is the ``_encode_split`` of ``indices`` when already known."""
-    inputs, context, x_next = encoded or _encode_split(model, dataset, indices)
+    inputs, context, _, x_next = encoded or _encode_split(model, dataset, indices)
     pred = model._decode(context, model.regressor(inputs))
     return float(np.mean((pred - x_next) ** 2))
 
@@ -124,9 +125,6 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
         raise ValueError("cannot train on an empty dataset")
     check_model_dataset(model, dataset)
     regressor = model.regressor
-    sample = model.training_target(dataset.x, dataset.u, dataset.x_next)
-    inputs, targets = sample.inputs, sample.targets
-
     split_seed = config.split_seed
     if split_seed is None:
         split_seed = derive_seed(dataset.content_hash(), config.seed)
@@ -134,6 +132,7 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
 
     train_split = _encode_split(model, dataset, train_idx)
     test_split = _encode_split(model, dataset, test_idx)
+    inputs, _, targets, _ = train_split
     batch_rng = Rng(derive_seed(config.seed, "batches"))
     adam = Adam(regressor.flat_params, lr=config.learning_rate, betas=ADAM_BETAS, eps=ADAM_EPS)
     records: list[MetricRecord] = []
@@ -160,9 +159,9 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
     with np.errstate(all="ignore"):
         record(0)
         for update in range(1, config.updates + 1):
-            idx = train_idx[batch_rng.integers(n_train, size=config.batch_size)]
-            out, cache = regressor.forward_cached(inputs[idx])
-            diff = out - targets[idx]
+            j = batch_rng.integers(n_train, size=config.batch_size)
+            out, cache = regressor.forward_cached(inputs[j])
+            diff = out - targets[j]
             loss = float(np.mean(diff * diff))
             if not np.isfinite(loss):
                 raise TrainingDivergedError(

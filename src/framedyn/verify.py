@@ -52,7 +52,7 @@ class SuiteResult:
 def _max_abs(arr) -> tuple[float, int]:
     flat = np.abs(np.asarray(arr, dtype=np.float64)).reshape(arr.shape[0], -1) \
         if np.ndim(arr) > 1 else np.abs(np.atleast_1d(arr))[:, None]
-    if flat.size == 0:
+    if flat.size == 0:  # zero-width rows: a transitive group reduces to no coordinates
         return 0.0, -1
     per_sample = flat.max(axis=1)
     idx = int(np.argmax(per_sample))
@@ -240,6 +240,8 @@ def run_suites(
     samples: int = 1000,
 ) -> list[SuiteResult]:
     """Run one suite (or all) over the requested groups and environments."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     suite = SUITE_ALIASES.get(suite, suite)
     groups = [get_group(gid) for gid in group_ids]
     results: list[SuiteResult] = []

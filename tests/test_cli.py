@@ -207,6 +207,47 @@ class TestCompare:
                     "--workers", "2", "--out-dir", str(d2)]) == 0
         assert (d1 / "summary.csv").read_text() == (d2 / "summary.csv").read_text()
 
+    def test_dataset_is_read_once(self, dataset_path, tmp_path, monkeypatch):
+        from framedyn import cli
+
+        paths = []
+
+        def counted(path):
+            paths.append(path)
+            return read_jsonl(path)
+
+        monkeypatch.setattr(cli, "read_jsonl", counted)
+        assert run(["compare", "--data", str(dataset_path), "--archs", "1,2",
+                    "--hidden-size", "8", "--runs", "2", "--updates", "10",
+                    "--eval-every", "10", "--workers", "1",
+                    "--out-dir", str(tmp_path / "cmp")]) == 0
+        assert paths == [str(dataset_path)]
+
+    def test_split_seed_from_config_is_used(self, dataset_path, tmp_path):
+        finals = []
+        for split_seed in (5, 6):
+            cfg = tmp_path / f"split{split_seed}.cfg"
+            cfg.write_text(f"split_seed = {split_seed}\n")
+            out_dir = tmp_path / f"cmp{split_seed}"
+            assert run(["compare", "--data", str(dataset_path), "--config", str(cfg),
+                        "--archs", "1", "--hidden-size", "8", "--runs", "1",
+                        "--updates", "10", "--eval-every", "10",
+                        "--out-dir", str(out_dir)]) == 0
+            records, note = read_metrics_csv(out_dir / "parking2_h1_sym_s0.csv")
+            assert note["split_seed"] == split_seed
+            finals.append(records[-1].test_mse)
+        assert finals[0] != finals[1]
+
+    def test_negative_workers_fail_before_any_file(self, dataset_path, tmp_path, capsys):
+        out_dir = tmp_path / "cmp"
+        assert run(["compare", "--data", str(dataset_path), "--workers", "-3",
+                    "--archs", "1", "--runs", "1", "--updates", "10",
+                    "--eval-every", "10", "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --workers") and captured.err.count("\n") == 1
+        assert not out_dir.exists()
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -224,6 +265,13 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             run(["verify", "--suite", "nonsense"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_one_is_one_line_error(self, capsys, samples):
+        assert run(["verify", "--suite", "axioms", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: samples must be at least 1, got {samples}\n"
 
 
 class TestConfigFile:

@@ -169,3 +169,15 @@ def test_baseline_arity_validation():
     with pytest.raises(ValueError, match="control"):
         model.predict(np.zeros(4), np.zeros(3))
 
+
+@pytest.mark.parametrize("kind", ["sym", "base"])
+def test_mismatched_next_state_is_rejected(kind, parking_group, small_parking_dataset):
+    # One next state for five transitions used to broadcast into five targets.
+    ds = small_parking_dataset
+    if kind == "sym":
+        model = _random_model(parking_group, "delta")
+    else:
+        model = build_baseline_model(ds.n, ds.n_u, [8])
+    with pytest.raises(ValueError, match="next state"):
+        model.training_target(ds.x[:5], ds.u[:5], ds.x_next[0])
+    assert model.training_target(ds.x[:5], ds.u[:5], ds.x_next[:5]).targets.shape == (5, 24)

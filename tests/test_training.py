@@ -158,6 +158,23 @@ def test_every_record_equals_plain_observation_mse(
     assert evaluated == [v for r in records for v in (r.train_mse, r.test_mse)]
 
 
+def test_train_frames_each_transition_once(monkeypatch, small_parking_dataset):
+    # The train and test splits are encoded once each; nothing else frames.
+    ds = small_parking_dataset
+    model = build_symmetry_model(get_group("parking2"), [16], seed=2)
+    group = model.group
+    rows = []
+    frame = group._moving_frame
+
+    def counted(x):
+        rows.append(len(x))
+        return frame(x)
+
+    monkeypatch.setattr(group, "_moving_frame", counted)
+    train(model, ds, TrainConfig(updates=20, eval_every=10, batch_size=32, seed=1))
+    assert sum(rows) == len(ds)
+
+
 def test_dimension_mismatch_between_model_and_dataset():
     ds = _constant_target_dataset(n=3, n_u=2)
     with pytest.raises(ValueError, match="baseline model expects"):
