@@ -16,7 +16,6 @@ from .builtin import (
     SE2CarGroup,
     get_group,
     make_parking_group,
-    make_reacher_group,
 )
 from .dataset import DatasetFormatError, TransitionDataset, read_jsonl, write_jsonl
 from .groups import (
@@ -61,7 +60,6 @@ __all__ = [
     "ProductGroup",
     "get_group",
     "make_parking_group",
-    "make_reacher_group",
     # models
     "SymmetryReducedModel",
     "BaselineModel",

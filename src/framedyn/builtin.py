@@ -7,8 +7,8 @@
   (used for goal coordinates, which the dynamics never change).
 * :class:`ReacherGroup`: base-joint rotation plus target/height translation
   for the 11-dimensional two-link reacher observation.
-* :class:`ProductGroup`: blockwise product of factor groups over disjoint
-  state and control slices.
+* :class:`ProductGroup`: blockwise product of an ordered list of factor
+  groups.
 
 Groups are selected by string id: ``se2car``, ``parking2``, ``reacher``,
 ``const:<d>``.
@@ -267,83 +267,46 @@ class ReacherGroup(TransformationGroup):
 
 
 class ProductGroup(TransformationGroup):
-    """Blockwise product of factor groups.
+    """Blockwise product of an ordered list of factor groups.
 
-    Each factor owns a contiguous state slice and a contiguous (possibly
-    empty) control slice; element coordinates are the concatenation of the
-    factor coordinates in declaration order.  State slices must partition the
-    joint state and control slices the joint control space.
+    Each factor owns the next ``n`` state coordinates, the next ``n_u``
+    controls and the next ``r`` element coordinates, in list order, so the
+    joint state, control and element coordinates are the factors'
+    concatenated.
 
-    A run of k consecutive identical factors (same class and id) over adjacent
-    slices is applied as one factor call on ``(..., k, width)`` views; the maps
-    are elementwise, so the bits equal those of one call per factor.
+    A run of k consecutive identical factors (same class and id) is applied
+    as one factor call on ``(..., k, width)`` views; the maps are elementwise,
+    so the bits equal those of one call per factor.
     """
 
     def __init__(self, group_id: str, factors):
-        self.factors = []
-        self._runs = []  # (group, k, state slice, control slice, coordinate slice)
-        coord_start = 0
-        for group, state_slice, control_slice in factors:
-            s = slice(*state_slice) if isinstance(state_slice, tuple) else state_slice
-            c = slice(*control_slice) if isinstance(control_slice, tuple) else control_slice
-            cs = slice(coord_start, coord_start + group.r)
-            self.factors.append((group, s, c, cs))
-            coord_start += group.r
-            last = self._runs[-1] if self._runs else None
-            if (last is not None and type(last[0]) is type(group)
-                    and last[0].group_id == group.group_id
-                    and last[2].stop == s.start and last[3].stop == c.start):
-                self._runs[-1] = (group, last[1] + 1, slice(last[2].start, s.stop),
-                                  slice(last[3].start, c.stop), slice(last[4].start, cs.stop))
+        self.factors = list(factors)
+        runs = []  # [group, k, state start, control start, coordinate start]
+        a_indices, angular = [], []
+        n = n_u = r = 0
+        for group in self.factors:
+            if runs and type(runs[-1][0]) is type(group) and runs[-1][0].group_id == group.group_id:
+                runs[-1][1] += 1
             else:
-                self._runs.append((group, 1, s, c, cs))
-
-        n = sum(f[1].stop - f[1].start for f in self.factors)
-        n_u = sum(f[2].stop - f[2].start for f in self.factors)
-        self._check_partition([f[1] for f in self.factors], n, "state")
-        self._check_partition([f[2] for f in self.factors], n_u, "control")
-        for group, s, c, _ in self.factors:
-            if s.stop - s.start != group.n:
-                raise ValueError(
-                    f"state slice {s.start}:{s.stop} does not match factor "
-                    f"'{group.group_id}' dimension {group.n}"
-                )
-            if c.stop - c.start != group.n_u:
-                raise ValueError(
-                    f"control slice {c.start}:{c.stop} does not match factor "
-                    f"'{group.group_id}' control dimension {group.n_u}"
-                )
-
-        a_indices = np.concatenate(
-            [np.asarray(g.a_indices) + s.start for g, s, _, _ in self.factors]
-        )
-        cross = np.concatenate([g.cross_section for g, _, _, _ in self.factors])
-        angular = tuple(
-            cs.start + a for g, _, _, cs in self.factors for a in g.angular_coords
-        )
+                runs.append([group, 1, n, n_u, r])
+            a_indices.extend(n + group.a_indices)
+            angular.extend(r + a for a in group.angular_coords)
+            n, n_u, r = n + group.n, n_u + group.n_u, r + group.r
+        # (group, k, state slice, control slice, coordinate slice)
+        self._runs = [(g, k, slice(s, s + k * g.n), slice(c, c + k * g.n_u),
+                       slice(o, o + k * g.r)) for g, k, s, c, o in runs]
         super().__init__(
             group_id=group_id,
-            r=coord_start,
+            r=r,
             n=n,
             n_u=n_u,
             a_indices=a_indices,
-            cross_section=cross,
+            cross_section=np.concatenate([g.cross_section for g in self.factors]),
             angular_coords=angular,
         )
         # Factors that keep the base-class default leave controls untouched.
         self._control_runs = [run for run in self._runs if type(run[0])._act_control
                               is not TransformationGroup._act_control]
-
-    @staticmethod
-    def _check_partition(slices, total, what):
-        covered = sorted((s.start, s.stop) for s in slices if s.stop > s.start)
-        position = 0
-        for start, stop in covered:
-            if start != position:
-                raise ValueError(f"{what} slices do not partition [0, {total})")
-            position = stop
-        if position != total:
-            raise ValueError(f"{what} slices do not partition [0, {total})")
 
     @staticmethod
     def _blocks(v, sl, k):
@@ -390,18 +353,12 @@ class ProductGroup(TransformationGroup):
         return out
 
     def random_element(self, rng: Rng, size=None) -> GroupElement:
-        shape = () if size is None else (size,)
-        coords = np.empty(shape + (self.r,))
-        for group, _, _, cs in self.factors:
-            coords[..., cs] = group.random_element(rng, size=size).coords
+        coords = np.concatenate(
+            [g.random_element(rng, size=size).coords for g in self.factors], axis=-1)
         return GroupElement(coords, self.group_id)
 
     def random_state(self, rng: Rng, size=None) -> np.ndarray:
-        shape = () if size is None else (size,)
-        x = np.empty(shape + (self.n,))
-        for group, s, _, _ in self.factors:
-            x[..., s] = group.random_state(rng, size=size)
-        return x
+        return np.concatenate([g.random_state(rng, size=size) for g in self.factors], axis=-1)
 
 
 def make_parking_group() -> ProductGroup:
@@ -411,20 +368,8 @@ def make_parking_group() -> ProductGroup:
     The 24-dimensional state reduces to 4 coordinates (each car's body-frame
     velocity pair); the 4 control inputs (2 per car) are untouched.
     """
-    return ProductGroup(
-        "parking2",
-        [
-            (SE2CarGroup(), (0, 6), (0, 2)),
-            (SE2CarGroup(), (6, 12), (2, 4)),
-            (ConstantTranslationGroup(6), (12, 18), (4, 4)),
-            (ConstantTranslationGroup(6), (18, 24), (4, 4)),
-        ],
-    )
-
-
-def make_reacher_group() -> ReacherGroup:
-    """Group for the 11-dimensional reacher observation (see ReacherGroup)."""
-    return ReacherGroup()
+    return ProductGroup("parking2", [SE2CarGroup(), SE2CarGroup(),
+                                     ConstantTranslationGroup(6), ConstantTranslationGroup(6)])
 
 
 def get_group(group_id: str) -> TransformationGroup:
@@ -434,7 +379,7 @@ def get_group(group_id: str) -> TransformationGroup:
     if group_id == "parking2":
         return make_parking_group()
     if group_id == "reacher":
-        return make_reacher_group()
+        return ReacherGroup()
     if group_id.startswith("const:"):
         try:
             dim = int(group_id.split(":", 1)[1])

@@ -67,10 +67,7 @@ class _Resolver:
         if value is not None:
             return value
         if key in self.config:
-            raw = self.config[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            return cast(self.config[key])
         return default
 
 
@@ -346,7 +343,7 @@ def _write_compare_reports(out, dataset, s, archs, width, runs, results, diverge
 
 def cmd_verify(args) -> int:
     r = _Resolver(args)
-    suite = r.get("suite", "all")
+    suite = "all" if args.all else r.get("suite", "all")
     seed = r.get("seed", 0, int)
     samples = r.get("samples", 1000, int)
     group_arg = r.get("group")
@@ -423,8 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
          "roundtrip", "model-invariance", "sim", "gradcheck", *SUITE_ALIASES}
     )
     p = sub.add_parser("verify", help="run the invariance suites")
-    p.add_argument("--all", action="store_true", help="run every suite (default)")
-    p.add_argument("--suite", choices=suite_names)
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true",
+                       help="run every suite (default; overrides a config-file suite)")
+    which.add_argument("--suite", choices=suite_names)
     p.add_argument("--group", help="comma-separated group ids to check")
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int)

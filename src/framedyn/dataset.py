@@ -108,6 +108,11 @@ def read_jsonl(path) -> TransitionDataset:
                     f"{path}: line 1: header field '{key}' must be an integer{bound}, "
                     f"got {value!r}"
                 )
+        if type(header["env_id"]) is not str:
+            raise DatasetFormatError(
+                f"{path}: line 1: header field 'env_id' must be a string, "
+                f"got {header['env_id']!r}"
+            )
         n, n_u, count = header["n"], header["n_u"], header["count"]
         xs = np.empty((count, n))
         us = np.empty((count, n_u))
@@ -123,14 +128,16 @@ def read_jsonl(path) -> TransitionDataset:
             try:
                 obj = json.loads(line)
                 x, u, xn = obj["x"], obj["u"], obj["xn"]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                if len(x) != n or len(xn) != n or len(u) != n_u:
+                    raise DatasetFormatError(
+                        f"{path}: line {lineno}: dimensions do not match header "
+                        f"(n={n}, n_u={n_u})"
+                    )
+                xs[rows], us[rows], xns[rows] = x, u, xn
+            except DatasetFormatError:
+                raise
+            except (KeyError, TypeError, ValueError) as e:  # ValueError covers JSONDecodeError
                 raise DatasetFormatError(f"{path}: line {lineno}: malformed record: {e}") from e
-            if len(x) != n or len(xn) != n or len(u) != n_u:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: dimensions do not match header "
-                    f"(n={n}, n_u={n_u})"
-                )
-            xs[rows], us[rows], xns[rows] = x, u, xn
             rows += 1
         if rows != count:
             raise DatasetFormatError(

@@ -75,8 +75,6 @@ class TransformationGroup(abc.ABC):
         self.b_dim = int(self.b_indices.size)
         self.cross_section = np.asarray(cross_section, dtype=np.float64)
         self.angular_coords = tuple(angular_coords)
-        if self.b_dim > self.n:
-            raise ValueError("b_dim exceeds state dimension")
         if self.cross_section.shape != (self.n - self.b_dim,):
             raise ValueError(
                 f"cross-section constant must have length {self.n - self.b_dim}, "
@@ -159,12 +157,6 @@ class TransformationGroup(abc.ABC):
         """
         xv = self._require_vector(x, self.n, "state")
         return GroupElement(self._moving_frame(xv), self.group_id)
-
-    def project_a(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)[..., self.a_indices]
-
-    def project_b(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)[..., self.b_indices]
 
     def reduce(self, x) -> np.ndarray:
         """Canonical coordinates of ``x``: b-projection of the framed state."""

@@ -256,7 +256,6 @@ class EnvSpec:
     env_id: str
     n: int
     n_u: int
-    dt: float
     group_id: str
     step: Callable
     initial_state: Callable
@@ -270,7 +269,7 @@ class EnvSpec:
 
 ENVS = {
     "parking2": EnvSpec(
-        env_id="parking2", n=24, n_u=4, dt=CAR_DT, group_id="parking2",
+        env_id="parking2", n=24, n_u=4, group_id="parking2",
         step=parking_step, initial_state=parking_initial_state,
         policies={"uniform-random": _parking_uniform,
                   "scripted-goal-seek": _parking_goal_seek},
@@ -279,7 +278,7 @@ ENVS = {
         default_updates=20000, default_hidden=128,
     ),
     "reacher": EnvSpec(
-        env_id="reacher", n=11, n_u=2, dt=REACHER_DT, group_id="reacher",
+        env_id="reacher", n=11, n_u=2, group_id="reacher",
         step=reacher_step, initial_state=reacher_initial_state,
         policies={"uniform-random": _reacher_uniform,
                   "scripted-goal-seek": _reacher_goal_seek},

@@ -7,7 +7,6 @@ from framedyn.builtin import (
     SE2CarGroup,
     get_group,
     make_parking_group,
-    make_reacher_group,
 )
 from framedyn.groups import angle_difference
 from framedyn.rng import Rng
@@ -72,7 +71,7 @@ class TestCarClosedForms:
 
 class TestReacherClosedForms:
     def test_frame_matches_transcription(self):
-        group = make_reacher_group()
+        group = get_group("reacher")
         for i in range(100):
             x = group.random_state(Rng(400 + i))
             err = _angle_aware_error(group, group.moving_frame(x).coords,
@@ -80,7 +79,7 @@ class TestReacherClosedForms:
             assert err < 1e-12
 
     def test_frame_inverse_matches_transcription(self):
-        group = make_reacher_group()
+        group = get_group("reacher")
         for i in range(100):
             x = group.random_state(Rng(500 + i))
             inv = group.inverse(group.moving_frame(x))
@@ -88,13 +87,13 @@ class TestReacherClosedForms:
             assert err < 1e-12
 
     def test_reduce_matches_transcription(self):
-        group = make_reacher_group()
+        group = get_group("reacher")
         for i in range(100):
             x = group.random_state(Rng(600 + i))
             assert np.max(np.abs(group.reduce(x) - oracles.reacher_reduce(x))) < 1e-12
 
     def test_reduce_on_cross_section_is_projection(self):
-        group = make_reacher_group()
+        group = get_group("reacher")
         x = np.array([1.0, 0.3, 0.0, np.sqrt(1 - 0.09), 0.0, 0.0,
                       0.7, -0.4, 0.11, -0.05, 0.0])
         assert np.max(np.abs(
@@ -102,7 +101,7 @@ class TestReacherClosedForms:
         )) < 1e-15
 
     def test_reconstruct_fills_declared_slots(self):
-        group = make_reacher_group()
+        group = get_group("reacher")
         xb = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         x = group.reconstruct_on_cross_section(xb)
         assert x[0] == 1.0 and x[2] == 0.0
@@ -110,18 +109,18 @@ class TestReacherClosedForms:
         assert np.array_equal(x[[1, 3, 6, 7, 8, 9]], xb)
 
     def test_action_fixes_joint_velocities_and_second_joint(self):
-        group = make_reacher_group()
+        group = get_group("reacher")
         rng = Rng(8)
         x = group.random_state(rng, size=500)
         gx = group.act_state(group.random_element(rng, size=500), x)
         assert np.array_equal(gx[:, [1, 3, 6, 7]], x[:, [1, 3, 6, 7]])
 
     def test_dimensions(self):
-        group = make_reacher_group()
+        group = get_group("reacher")
         assert (group.n, group.n_u, group.r, group.b_dim) == (11, 2, 4, 6)
 
     def test_controls_untouched(self):
-        group = make_reacher_group()
+        group = get_group("reacher")
         rng = Rng(9)
         u = group.random_control(rng, size=100)
         g = group.random_element(rng, size=100)
@@ -183,17 +182,49 @@ class ControlRotatingCar(SE2CarGroup):
                          sin * u[..., 0] + cos * u[..., 1]], axis=-1)
 
 
+def _mixed_product():
+    return ProductGroup("mixed", [ControlRotatingCar("rc"), ControlRotatingCar("rc"),
+                                  SE2CarGroup(), ConstantTranslationGroup(3)])
+
+
+def _factor_slices(group):
+    """(factor, state, control, coordinate slices), consecutive in factor order."""
+    out, n, n_u, r = [], 0, 0, 0
+    for f in group.factors:
+        out.append((f, slice(n, n + f.n), slice(n_u, n_u + f.n_u), slice(r, r + f.r)))
+        n, n_u, r = n + f.n, n_u + f.n_u, r + f.r
+    return out
+
+
+# Derived structure, recorded from the explicit-slice constructor it replaced.
+@pytest.mark.parametrize("make, r, n, n_u, a_indices, b_indices, cross, angular, runs", [
+    (make_parking_group, 18, 24, 4,
+     [0, 1, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23],
+     [2, 3, 8, 9],
+     [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+     (2, 5), [2, 2]),
+    (_mixed_product, 12, 21, 6,
+     [0, 1, 4, 5, 6, 7, 10, 11, 12, 13, 16, 17, 18, 19, 20],
+     [2, 3, 8, 9, 14, 15],
+     [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0],
+     (2, 5, 8), [2, 1, 1]),
+], ids=["parking2", "mixed"])
+def test_product_structure_is_derived_from_factor_order(
+        make, r, n, n_u, a_indices, b_indices, cross, angular, runs):
+    group = make()
+    assert (group.r, group.n, group.n_u) == (r, n, n_u)
+    assert group.a_indices.tolist() == a_indices
+    assert group.b_indices.tolist() == b_indices
+    assert group.cross_section.tolist() == cross
+    assert group.angular_coords == angular
+    assert [run[1] for run in group._runs] == runs
+
+
 @pytest.mark.parametrize("size", [None, 50])
 def test_stacked_runs_equal_factor_by_factor_maps(size):
     # Reference: each factor applied on its own slices, one call per factor.
-    mixed = ProductGroup("mixed", [
-        (ControlRotatingCar("rc"), (0, 6), (0, 2)),
-        (ControlRotatingCar("rc"), (6, 12), (2, 4)),
-        (SE2CarGroup(), (12, 18), (4, 6)),
-        (ConstantTranslationGroup(3), (18, 21), (6, 6)),
-    ])
-    state, control, coords = 1, 2, 3  # slice fields of a ProductGroup factor
-    for group in (make_parking_group(), mixed):
+    state, control, coords = 1, 2, 3  # slice fields of a _factor_slices entry
+    for group in (make_parking_group(), _mixed_product()):
         rng = Rng(8)
         x = group.random_state(rng, size=size)
         u = group.random_control(rng, size=size)
@@ -209,13 +240,12 @@ def test_stacked_runs_equal_factor_by_factor_maps(size):
         for method, out_field, operands in cases:
             got = getattr(group, method)(*(v for v, _ in operands))
             expected = np.empty_like(got)
-            for factor in group.factors:
+            for factor in _factor_slices(group):
                 sl = factor[out_field]
                 if sl.stop > sl.start:
                     expected[..., sl] = getattr(factor[0], method)(
                         *(v[..., factor[f]] for v, f in operands))
             assert got.tobytes() == expected.tobytes(), (group.group_id, method)
-    assert [run[1] for run in mixed._runs] == [2, 1, 1]
 
 
 def test_registry_ids():

@@ -266,6 +266,22 @@ class TestVerify:
             run(["verify", "--suite", "nonsense"])
         assert info.value.code == 2
 
+    def test_all_and_suite_together_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["verify", "--all", "--suite", "axioms"])
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_all_overrides_config_suite(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("suite = axioms\ngroup = se2car\nsamples = 50\n")
+        assert run(["verify", "--config", str(cfg)]) == 0
+        suites = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:-1]]
+        assert set(suites) == {"axioms"}
+        assert run(["verify", "--all", "--config", str(cfg)]) == 0
+        suites = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:-1]]
+        assert {"axioms", "frame", "model-invariance", "sim", "gradcheck"} <= set(suites)
+
     @pytest.mark.parametrize("samples", ["0", "-2"])
     def test_samples_below_one_is_one_line_error(self, capsys, samples):
         assert run(["verify", "--suite", "axioms", "--samples", samples]) == 1

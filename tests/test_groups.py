@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framedyn.builtin import ProductGroup, SE2CarGroup, get_group
+from framedyn.builtin import get_group
 from framedyn.groups import FrameSingularityError, angle_difference, wrap_angle
 from framedyn.rng import Rng
 from framedyn.verify import (
@@ -159,14 +159,6 @@ def test_const_group_reduce_is_empty():
     red = const.reduce(x)
     assert red.shape == (10, 0)
     assert np.array_equal(const.reconstruct_on_cross_section(np.empty(0)), np.zeros(6))
-
-
-def test_product_slice_validation():
-    with pytest.raises(ValueError, match="partition"):
-        ProductGroup("bad", [(SE2CarGroup(), (0, 6), (0, 2)),
-                             (SE2CarGroup(), (7, 13), (2, 4))])
-    with pytest.raises(ValueError, match="control slice"):
-        ProductGroup("bad", [(SE2CarGroup(), (0, 6), (0, 1))])
 
 
 def test_corrupted_frame_breaks_reduce_invariance():

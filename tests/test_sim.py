@@ -209,14 +209,23 @@ class TestJsonl:
         with pytest.raises(DatasetFormatError, match="count"):
             read_jsonl(path)
 
-    def test_malformed_line_reports_line_number(self, tmp_path):
+    @pytest.mark.parametrize("record", [
+        "{not json",
+        '{"x": 5, "u": [0.0, 0.0], "xn": 5}',
+        '{"x": ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"], '
+        '"u": [0.0, 0.0], "xn": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
+        '{"x": [[1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0]], '
+        '"u": [0.0, 0.0], "xn": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
+    ], ids=["not-json", "int-field", "string-values", "nested-values"])
+    def test_malformed_line_reports_line_number(self, tmp_path, record):
         ds = generate_dataset("reacher", episodes=1, horizon=3, seed=1)
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, ds)
         lines = path.read_text().splitlines()
-        lines[2] = "{not json"
+        lines[2] = record
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="line 3"):
+        with pytest.raises(DatasetFormatError,
+                           match=f"{re.escape(str(path))}: line 3: malformed record"):
             read_jsonl(path)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
@@ -226,10 +235,11 @@ class TestJsonl:
         lines = path.read_text().splitlines()
         lines[1] = '{"x": [1.0], "u": [0.0, 0.0], "xn": [1.0]}'
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="dimensions"):
+        with pytest.raises(DatasetFormatError,
+                           match=f"^{re.escape(str(path))}: line 2: dimensions"):
             read_jsonl(path)
 
-    @pytest.mark.parametrize("field, value", [("count", -3), ("n", "abc")])
+    @pytest.mark.parametrize("field, value", [("count", -3), ("n", "abc"), ("env_id", 5)])
     def test_bad_header_value_names_path_line_and_field(self, tmp_path, field, value):
         ds = generate_dataset("reacher", episodes=1, horizon=2, seed=1)
         path = tmp_path / "bad.jsonl"
