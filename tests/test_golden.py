@@ -1,8 +1,8 @@
 """Golden digests: exact outputs pinned across versions.
 
-A refactor of the simulators, policies, groups, models, training loop or
-random-number consumption that changes any generated bit fails here, even if
-it stays self-consistent.  Values were recorded with numpy 2.4 and OpenBLAS;
+A refactor of the simulators, policies, groups, models, training loop, dataset
+writer or random-number consumption that changes any generated bit fails here,
+even if it stays self-consistent.  Values were recorded with numpy 2.4 and OpenBLAS;
 another BLAS build may round the regressor's matrix products differently.
 """
 
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from framedyn.builtin import get_group
+from framedyn.dataset import write_jsonl
 from framedyn.rng import Rng, derive_seed
 from framedyn.sim import generate_dataset
 from framedyn.training import (
@@ -37,6 +38,25 @@ GOLDEN_DATASET_HASHES = {
     ("reacher", "scripted-goal-seek", 7, 13, 0): "7642097c03c0a35d",
     ("reacher", "scripted-goal-seek", 7, 13, 3): "04841ac8cf9717ba",
     ("reacher", "scripted-goal-seek", 1, 1, 0): "84ff0427641156dc",
+}
+
+# (env, policy, episodes, horizon, seed) -> sha256 prefix of the file write_jsonl
+# writes: every GOLDEN_DATASET_HASHES key plus the gen-data default files.
+GOLDEN_JSONL_DIGESTS = {
+    ("parking2", "uniform-random", 7, 13, 0): "fe5858d2136dfbd9",
+    ("parking2", "uniform-random", 7, 13, 3): "9722414c5d4265a3",
+    ("parking2", "uniform-random", 1, 1, 0): "c3183f5180fabe48",
+    ("parking2", "scripted-goal-seek", 7, 13, 0): "3f049ab5565ce4e8",
+    ("parking2", "scripted-goal-seek", 7, 13, 3): "6415b29dc36c4908",
+    ("parking2", "scripted-goal-seek", 1, 1, 0): "5e0040647877a0e6",
+    ("reacher", "uniform-random", 7, 13, 0): "3ebd73b050d75a49",
+    ("reacher", "uniform-random", 7, 13, 3): "b777e7c270ececef",
+    ("reacher", "uniform-random", 1, 1, 0): "8a1552242b7637e1",
+    ("reacher", "scripted-goal-seek", 7, 13, 0): "5e391a4d65bb29a1",
+    ("reacher", "scripted-goal-seek", 7, 13, 3): "b6d31bfd0f623ba3",
+    ("reacher", "scripted-goal-seek", 1, 1, 0): "f056db30a50b0bd3",
+    ("parking2", "uniform-random", 400, 50, 0): "81cb65787f80372a",
+    ("reacher", "uniform-random", 200, 50, 0): "4e08e3996d3fb740",
 }
 
 # (env, method) -> (train_mse, test_mse) as float hex at updates 0, 50, ..., 200.
@@ -160,6 +180,14 @@ def test_dataset_content_hash_is_golden(key):
     env_id, policy, episodes, horizon, seed = key
     ds = generate_dataset(env_id, episodes, horizon, policy=policy, seed=seed)
     assert f"{ds.content_hash():016x}" == GOLDEN_DATASET_HASHES[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_JSONL_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_jsonl_bytes_are_golden(key, tmp_path):
+    env_id, policy, episodes, horizon, seed = key
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, generate_dataset(env_id, episodes, horizon, policy=policy, seed=seed))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == GOLDEN_JSONL_DIGESTS[key]
 
 
 def _golden_run(env_id, method, hidden=(32,), activation="relu", mode="delta"):
