@@ -9,7 +9,10 @@ transition::
 
 Floats are written with 17 significant digits, which round-trips float64
 exactly, so ``read(write(d)) == d`` bit-for-bit and re-serializing produces
-identical bytes.
+identical bytes.  The writer formats each state once: where ``x[i + 1]`` is
+bit-equal to ``x_next[i]``, as inside an episode, it reuses that text.  The
+reader rejects records holding anything but numbers (``true``, ``null``,
+``NaN``, ...) with the file and line.
 """
 
 from __future__ import annotations
@@ -38,22 +41,21 @@ class TransitionDataset:
     x_next: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64).reshape(-1, self.n)
-        self.u = np.asarray(self.u, dtype=np.float64).reshape(-1, self.n_u)
-        self.x_next = np.asarray(self.x_next, dtype=np.float64).reshape(-1, self.n)
-        if not (len(self.x) == len(self.u) == len(self.x_next)):
-            raise DatasetFormatError("x, u, x_next must have equal lengths")
-        for name, arr in (("x", self.x), ("u", self.u), ("xn", self.x_next)):
+        for attr, name, width in (("x", "x", self.n), ("u", "u", self.n_u),
+                                  ("x_next", "xn", self.n)):
+            arr = np.asarray(getattr(self, attr), dtype=np.float64)
+            if arr.size and arr.shape[-1:] != (width,):
+                raise DatasetFormatError(
+                    f"dataset field '{name}' has shape {arr.shape}, expected rows of {width}"
+                )
             if not np.isfinite(arr).all():
                 raise DatasetFormatError(f"dataset field '{name}' contains non-finite values")
+            setattr(self, attr, arr.reshape(-1, width))
+        if not (len(self.x) == len(self.u) == len(self.x_next)):
+            raise DatasetFormatError("x, u, x_next must have equal lengths")
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def triples(self):
-        """Iterate (x, u, x_next) rows."""
-        for i in range(len(self)):
-            yield self.x[i], self.u[i], self.x_next[i]
 
     def content_hash(self) -> int:
         """64-bit hash of metadata plus the exact float contents."""
@@ -66,24 +68,36 @@ class TransitionDataset:
         return int.from_bytes(h.digest()[:8], "little")
 
 
-def _fmt_floats(values) -> str:
-    return "[" + ", ".join(f"{v:.17g}" for v in values) + "]"
+# Rows converted to Python floats at a time: larger blocks gained little and
+# held more memory.
+_BLOCK_ROWS = 256
 
 
 def write_jsonl(path, dataset: TransitionDataset) -> None:
-    header = {
-        "env_id": dataset.env_id,
-        "n": dataset.n,
-        "n_u": dataset.n_u,
-        "seed": dataset.seed,
-        "count": len(dataset),
-    }
+    header = {"env_id": dataset.env_id, "n": dataset.n, "n_u": dataset.n_u,
+              "seed": dataset.seed, "count": len(dataset)}
+    # "%.17g" of a Python float is the same text as f"{v:.17g}".
+    x_fmt = "[" + ", ".join(["%.17g"] * dataset.n) + "]"
+    row_fmt = '{"x": %s, "u": [' + ", ".join(["%.17g"] * dataset.n_u) + '], "xn": %s}\n'
+    x, u, xn = dataset.x, dataset.u, dataset.x_next
+    # Inside an episode x[i] is bit-equal to x_next[i - 1]; such a row reuses
+    # that text.  Comparing bits keeps -0.0 and 0.0 apart.
+    chained = np.zeros(len(dataset), dtype=bool)
+    chained[1:] = (x[1:].view(np.uint64) == xn[:-1].view(np.uint64)).all(axis=1)
+    xn_text = ""
     with open(path, "w") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        for x, u, xn in dataset.triples():
-            f.write(
-                f'{{"x": {_fmt_floats(x)}, "u": {_fmt_floats(u)}, "xn": {_fmt_floats(xn)}}}\n'
-            )
+        for start in range(0, len(dataset), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            for xi, ui, xni, reuse in zip(x[block].tolist(), u[block].tolist(),
+                                          xn[block].tolist(), chained[block].tolist()):
+                x_text = xn_text if reuse else x_fmt % tuple(xi)
+                xn_text = x_fmt % tuple(xni)
+                f.write(row_fmt % (x_text, *ui, xn_text))
+
+
+# parse_int=float keeps the sign of a zero written as "-0".
+_RECORD_DECODER = json.JSONDecoder(parse_int=float)
 
 
 def read_jsonl(path) -> TransitionDataset:
@@ -126,7 +140,13 @@ def read_jsonl(path) -> TransitionDataset:
                     f"{path}: line {lineno}: more data lines than header count {count}"
                 )
             try:
-                obj = json.loads(line)
+                # A valid record has no "t", "a" or "l"; each of these JSON
+                # literals and constants has one and would otherwise read as a float.
+                if "t" in line or "a" in line or "l" in line:
+                    for token in ("true", "false", "null", "NaN", "Infinity"):
+                        if token in line:
+                            raise ValueError(f"non-number token {token!r}")
+                obj = _RECORD_DECODER.decode(line)
                 x, u, xn = obj["x"], obj["u"], obj["xn"]
                 if len(x) != n or len(xn) != n or len(u) != n_u:
                     raise DatasetFormatError(

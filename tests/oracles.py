@@ -5,8 +5,11 @@ equations for each group), kept deliberately separate from the library code
 paths they check: the library computes reductions by composing the frame
 action with the b-projection, and frame inverses through the group inverse.
 :class:`LoopAdam` is the per-parameter Adam loop that the fused update on a
-flat parameter vector must reproduce bit for bit.
+flat parameter vector must reproduce bit for bit, and :func:`write_jsonl_per_float`
+is the dataset writer whose bytes the state-reusing writer must reproduce.
 """
+
+import json
 
 import numpy as np
 
@@ -68,3 +71,17 @@ class LoopAdam:
             v *= b2
             v += (1.0 - b2) * g * g
             p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+def write_jsonl_per_float(path, dataset):
+    """Write ``dataset`` as JSONL, formatting every float of every row on its own."""
+
+    def fmt(values):
+        return "[" + ", ".join(f"{v:.17g}" for v in values) + "]"
+
+    header = {"env_id": dataset.env_id, "n": dataset.n, "n_u": dataset.n_u,
+              "seed": dataset.seed, "count": len(dataset)}
+    with open(path, "w") as f:
+        f.write(json.dumps(header, sort_keys=True) + "\n")
+        for x, u, xn in zip(dataset.x, dataset.u, dataset.x_next):
+            f.write(f'{{"x": {fmt(x)}, "u": {fmt(u)}, "xn": {fmt(xn)}}}\n')

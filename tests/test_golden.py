@@ -2,8 +2,9 @@
 
 A refactor of the simulators, policies, groups, models, training loop, dataset
 writer or random-number consumption that changes any generated bit fails here,
-even if it stays self-consistent.  Values were recorded with numpy 2.4 and OpenBLAS;
-another BLAS build may round the regressor's matrix products differently.
+even if it stays self-consistent.  Values were recorded with numpy 2.4 and
+OpenBLAS; another BLAS build may round the regressor's matrix products
+differently.
 """
 
 import hashlib

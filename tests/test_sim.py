@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+import oracles
 import pytest
 
 from framedyn.dataset import DatasetFormatError, TransitionDataset, read_jsonl, write_jsonl
@@ -168,7 +169,81 @@ class TestGenerateDataset:
             generate_dataset("reacher", 1, 1, policy="ppo")
 
 
+EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e16, 1e17, 0.1, 1 / 3]
+
+
+def _chained(states, u):
+    """Dataset stepping through ``states``: x[i + 1] is bit-equal to x_next[i]."""
+    states = np.asarray(states, dtype=float)
+    return TransitionDataset(env_id="toy", n=states.shape[1], n_u=np.shape(u)[1], seed=0,
+                             x=states[:-1], u=u, x_next=states[1:])
+
+
+def _unchained():
+    ds = generate_dataset("parking2", episodes=5, horizon=20, seed=8)
+    order = np.random.default_rng(0).permutation(len(ds))
+    return TransitionDataset(env_id=ds.env_id, n=ds.n, n_u=ds.n_u, seed=ds.seed,
+                             x=ds.x[order], u=ds.u[order], x_next=ds.x_next[order])
+
+
+def _signed_zero():
+    # x[1] == x_next[0] numerically, but a zero's sign differs, so its text must too.
+    ds = TransitionDataset(env_id="toy", n=3, n_u=1, seed=0,
+                           x=[[1.0, 2.0, 3.0], [4.0, -0.0, 6.0], [-0.0, 0.0, 7.0]],
+                           u=[[0.0], [-0.0], [1.0]],
+                           x_next=[[4.0, 0.0, 6.0], [-0.0, 0.0, 7.0], [8.0, 9.0, -0.0]])
+    assert np.array_equal(ds.x[1], ds.x_next[0])
+    return ds
+
+
+def _relaid(layout):
+    ds = generate_dataset("reacher", episodes=3, horizon=10, seed=5)
+    x, u, xn = (layout(a) for a in (ds.x, ds.u, ds.x_next))
+    assert not (x.flags.c_contiguous or u.flags.c_contiguous or xn.flags.c_contiguous)
+    out = TransitionDataset(env_id=ds.env_id, n=ds.n, n_u=ds.n_u, seed=ds.seed,
+                            x=x, u=u, x_next=xn)
+    assert not out.x.flags.c_contiguous
+    return out
+
+
+WRITER_CASES = {
+    "unchained": _unchained,
+    "signed-zero": _signed_zero,
+    "edge-floats": lambda: _chained([EDGE_FLOATS, np.negative(EDGE_FLOATS), EDGE_FLOATS[::-1]],
+                                    [EDGE_FLOATS[:3], EDGE_FLOATS[5:]]),
+    "fortran-order": lambda: _relaid(np.asfortranarray),
+    "strided": lambda: _relaid(lambda a: np.repeat(a, 2, axis=1)[:, ::2]),
+    "0-rows": lambda: TransitionDataset(env_id="reacher", n=11, n_u=2, seed=0),
+    "1-row": lambda: generate_dataset("reacher", episodes=1, horizon=1, seed=0),
+    "257-row-chain": lambda: generate_dataset("reacher", episodes=1, horizon=257, seed=2),
+}
+
+
+def _record(token):
+    zeros = ", ".join(["0.0"] * 10)
+    return f'{{"x": [{token}, {zeros}], "u": [0.0, 0.0], "xn": [0.0, {zeros}]}}'
+
+
 class TestJsonl:
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_writer_matches_per_float_oracle(self, tmp_path, case):
+        ds = WRITER_CASES[case]()
+        write_jsonl(tmp_path / "new.jsonl", ds)
+        oracles.write_jsonl_per_float(tmp_path / "ref.jsonl", ds)
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+        back = read_jsonl(tmp_path / "new.jsonl")
+        assert back.content_hash() == ds.content_hash()
+
+    @pytest.mark.parametrize("field, shape", [("x", (4, 22)), ("u", (8, 1)), ("xn", (8, 12))])
+    def test_wrong_row_width_rejected(self, field, shape):
+        arrays = {"x": np.zeros((8, 11)), "u": np.zeros((8, 2)), "xn": np.zeros((8, 11))}
+        arrays[field] = np.zeros(shape)
+        with pytest.raises(DatasetFormatError,
+                           match=f"'{field}' has shape {re.escape(str(shape))}"):
+            TransitionDataset(env_id="reacher", n=11, n_u=2, seed=0,
+                              x=arrays["x"], u=arrays["u"], x_next=arrays["xn"])
+
     def test_empty_dataset_is_header_only(self, tmp_path):
         ds = TransitionDataset(env_id="reacher", n=11, n_u=2, seed=0)
         path = tmp_path / "empty.jsonl"
@@ -216,7 +291,9 @@ class TestJsonl:
         '"u": [0.0, 0.0], "xn": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
         '{"x": [[1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0]], '
         '"u": [0.0, 0.0], "xn": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
-    ], ids=["not-json", "int-field", "string-values", "nested-values"])
+        *(_record(token) for token in ("true", "false", "null", "NaN", "Infinity", "-Infinity")),
+    ], ids=["not-json", "int-field", "string-values", "nested-values",
+            "true", "false", "null", "NaN", "Infinity", "-Infinity"])
     def test_malformed_line_reports_line_number(self, tmp_path, record):
         ds = generate_dataset("reacher", episodes=1, horizon=3, seed=1)
         path = tmp_path / "bad.jsonl"
