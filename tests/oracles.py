@@ -5,13 +5,17 @@ equations for each group), kept deliberately separate from the library code
 paths they check: the library computes reductions by composing the frame
 action with the b-projection, and frame inverses through the group inverse.
 :class:`LoopAdam` is the per-parameter Adam loop that the fused update on a
-flat parameter vector must reproduce bit for bit, and :func:`write_jsonl_per_float`
-is the dataset writer whose bytes the state-reusing writer must reproduce.
+flat parameter vector must reproduce bit for bit, :func:`write_jsonl_per_float`
+is the dataset writer whose bytes the state-reusing writer must reproduce, and
+:func:`read_jsonl_per_line` the dataset reader whose arrays and errors the
+state-reusing reader must reproduce.
 """
 
 import json
 
 import numpy as np
+
+from framedyn.dataset import DatasetFormatError, TransitionDataset
 
 
 def car_frame(x):
@@ -85,3 +89,75 @@ def write_jsonl_per_float(path, dataset):
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for x, u, xn in zip(dataset.x, dataset.u, dataset.x_next):
             f.write(f'{{"x": {fmt(x)}, "u": {fmt(u)}, "xn": {fmt(xn)}}}\n')
+
+
+def read_jsonl_per_line(path):
+    """Read a JSONL dataset, decoding every line as a whole JSON object."""
+    # parse_int=float keeps the sign of a zero written as "-0".
+    decoder = json.JSONDecoder(parse_int=float)
+    with open(path) as f:
+        header_line = f.readline()
+        if not header_line.strip():
+            raise DatasetFormatError(f"{path}: missing header line")
+        try:
+            header = json.loads(header_line)
+        except json.JSONDecodeError as e:
+            raise DatasetFormatError(f"{path}: line 1: invalid header: {e}") from e
+        if not isinstance(header, dict):
+            raise DatasetFormatError(f"{path}: line 1: header is not a JSON object")
+        for key in ("env_id", "n", "n_u", "seed", "count"):
+            if key not in header:
+                raise DatasetFormatError(f"{path}: line 1: header missing field '{key}'")
+        for key, low in (("n", 1), ("n_u", 1), ("count", 0), ("seed", None)):
+            value = header[key]
+            if type(value) is not int or (low is not None and value < low):
+                bound = "" if low is None else f" >= {low}"
+                raise DatasetFormatError(
+                    f"{path}: line 1: header field '{key}' must be an integer{bound}, "
+                    f"got {value!r}"
+                )
+        if type(header["env_id"]) is not str:
+            raise DatasetFormatError(
+                f"{path}: line 1: header field 'env_id' must be a string, "
+                f"got {header['env_id']!r}"
+            )
+        n, n_u, count = header["n"], header["n_u"], header["count"]
+        xs = np.empty((count, n))
+        us = np.empty((count, n_u))
+        xns = np.empty((count, n))
+        rows = 0
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            if rows >= count:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: more data lines than header count {count}"
+                )
+            try:
+                # A valid record has no "t", "a" or "l"; each of these JSON
+                # literals and constants has one and would otherwise read as a float.
+                if "t" in line or "a" in line or "l" in line:
+                    for token in ("true", "false", "null", "NaN", "Infinity"):
+                        if token in line:
+                            raise ValueError(f"non-number token {token!r}")
+                obj = decoder.decode(line)
+                x, u, xn = obj["x"], obj["u"], obj["xn"]
+                if len(x) != n or len(xn) != n or len(u) != n_u:
+                    raise DatasetFormatError(
+                        f"{path}: line {lineno}: dimensions do not match header "
+                        f"(n={n}, n_u={n_u})"
+                    )
+                xs[rows], us[rows], xns[rows] = x, u, xn
+            except DatasetFormatError:
+                raise
+            except (KeyError, TypeError, ValueError) as e:  # ValueError covers JSONDecodeError
+                raise DatasetFormatError(f"{path}: line {lineno}: malformed record: {e}") from e
+            rows += 1
+        if rows != count:
+            raise DatasetFormatError(
+                f"{path}: header count {count} does not match {rows} data lines"
+            )
+    return TransitionDataset(
+        env_id=header["env_id"], n=n, n_u=n_u, seed=header["seed"],
+        x=xs, u=us, x_next=xns,
+    )

@@ -111,6 +111,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_invalid_utf8_dataset_is_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "tiny.jsonl"
+        assert run(["gen-data", "--env", "reacher", "--episodes", "1",
+                    "--horizon", "3", "-o", str(data)]) == 0
+        lines = data.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:10] + b"\xff" + lines[2][10:]
+        data.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert run(["train", "--data", str(data), "--updates", "1", "--eval-every", "1",
+                    "--out-model", str(tmp_path / "x.fdm"),
+                    "--out-metrics", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: line 3: not valid UTF-8 (byte 0xff)\n"
+
     def test_missing_data_flag(self, capsys):
         assert run(["train"]) == 1
         assert "--data is required" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from framedyn.builtin import get_group
-from framedyn.dataset import write_jsonl
+from framedyn.dataset import read_jsonl, write_jsonl
 from framedyn.rng import Rng, derive_seed
 from framedyn.sim import generate_dataset
 from framedyn.training import (
@@ -187,8 +187,12 @@ def test_dataset_content_hash_is_golden(key):
 def test_jsonl_bytes_are_golden(key, tmp_path):
     env_id, policy, episodes, horizon, seed = key
     path = tmp_path / "d.jsonl"
-    write_jsonl(path, generate_dataset(env_id, episodes, horizon, policy=policy, seed=seed))
+    ds = generate_dataset(env_id, episodes, horizon, policy=policy, seed=seed)
+    write_jsonl(path, ds)
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == GOLDEN_JSONL_DIGESTS[key]
+    # The gen-data default files have no GOLDEN_DATASET_HASHES entry.
+    want = GOLDEN_DATASET_HASHES.get(key, f"{ds.content_hash():016x}")
+    assert f"{read_jsonl(path).content_hash():016x}" == want
 
 
 def _golden_run(env_id, method, hidden=(32,), activation="relu", mode="delta"):

@@ -5,6 +5,7 @@ import numpy as np
 import oracles
 import pytest
 
+from framedyn import dataset
 from framedyn.dataset import DatasetFormatError, TransitionDataset, read_jsonl, write_jsonl
 from framedyn.rng import Rng
 from framedyn.sim import (
@@ -225,6 +226,101 @@ def _record(token):
     return f'{{"x": [{token}, {zeros}], "u": [0.0, 0.0], "xn": [0.0, {zeros}]}}'
 
 
+def _reordered_record(token):
+    zeros = ", ".join(["0.0"] * 10)
+    return f'{{"u": [0.0, 0.0], "xn": [0.0, {zeros}], "x": [{token}, {zeros}]}}'
+
+
+def _edit_records(text, edit):
+    """``text`` with ``edit(i, line)`` applied to each record line."""
+    header, *records = text.splitlines(keepends=True)
+    return header + "".join(edit(i, line) for i, line in enumerate(records))
+
+
+def _edit_row_1(pattern, repl):
+    """An edit of record 1, whose x is record 0's x_next text."""
+    return lambda t: _edit_records(
+        t, lambda i, line: re.sub(pattern, repl, line, count=1) if i == 1 else line)
+
+
+def _reorder_keys(line):
+    x, rest = line[len('{"x": '):].split(', "u": ', 1)
+    u, xn = rest.split(', "xn": ', 1)
+    return f'{{"u": {u}, "xn": {xn[:-2]}, "x": {x}}}\n'
+
+
+def _fallback_between(text):
+    # Row 1 is in another layout, and row 2's x repeats row 0's x_next text.
+    header, r0, r1, r2, *rest = text.splitlines(keepends=True)
+    r2 = r0[r0.index('"xn": ') + len('"xn": '):-2].join(
+        ('{"x": ', r2[r2.index(', "u": '):]))
+    return "".join([header, r0, _reorder_keys(r1), r2, *rest])
+
+
+def _after_key(text, tail):
+    # Row 1 ends in ``tail`` after its x_next list; row 2 starts with the text
+    # that follows row 1's last '], "xn": ['.
+    header, r0, r1, r2, *rest = text.splitlines(keepends=True)
+    r1 = r1[:-2] + tail + "}\n"
+    follows = r1[r1.rindex('], "xn": [') + len('], "xn": ['):-3]
+    r2 = '{"x": [' + follows + r2[r2.index('], "u": ['):]
+    return "".join([header, r0, r1, r2, *rest])
+
+
+def _trailing_space(text):
+    # Row 0 ends in a space, and row 1's x is row 0's x_next text and one more
+    # "]", which is not JSON.
+    header, r0, r1, *rest = text.splitlines(keepends=True)
+    return "".join([header, r0[:-1] + " \n", r1.replace("], ", "]], ", 1), *rest])
+
+
+# Edits of a written file that the reader must read as the per-line reader does.
+READER_CASES = {
+    "compact-separators": lambda t: t.replace(", ", ",").replace(": ", ":"),
+    "reordered-keys": lambda t: _edit_records(t, lambda i, line: _reorder_keys(line)),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "no-final-newline": lambda t: t[:-1],
+    "duplicate-u": _edit_row_1(r"\}\n", ', "u": [9.0, 9.0]}\n'),
+    "splice-x": _edit_row_1(r", ", "], ["),
+    "splice-xn": _edit_row_1(r'("xn": \[[^,]*), ', r"\1], ["),
+    "splice-after-u": _edit_row_1(r'("u": \[[^\]]*)', r"\1], [0.5"),
+    "fallback-between": _fallback_between,
+    "trailing-space": _trailing_space,
+    # Row 1 keeps row 0's x_next text as its x, and holds a bad u or x_next.
+    "true-in-chained-row": _edit_row_1(r'"u": \[[^,]*', '"u": [true'),
+    "one-number-u": _edit_row_1(r'"u": \[[^\]]*', '"u": [0.5'),
+    "one-number-xn": _edit_row_1(r'"xn": \[[^\]]*', '"xn": [0.5'),
+    "truncated": _edit_row_1(r"\]\}\n", "25\n"),
+    # Row 1's last x_next wins over the list after its last '], "xn": [', and
+    # row 2's x is the list before "k".
+    "key-after-xn": lambda t: _after_key(t, ', "k": 5, "xn": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, '
+                                            '7.0, 8.0, 9.0, 10.0, 11.0]'),
+    # Row 1's last '], "xn": [' is inside another member, so row 2 is not JSON.
+    "nested-xn": lambda t: _after_key(t, ', "v": [{"a": [1.0], "xn": [2.0]}]'),
+    # Row 1's x has the values of row 0's x_next in other text: 1 against 1.0,
+    # and 0.0 against -0.0, which differ in sign.
+    "same-values-other-text": lambda t: (
+        '{"count": 3, "env_id": "toy", "n": 2, "n_u": 1, "seed": 0}\n'
+        '{"x": [0.5, 0.25], "u": [1.0], "xn": [1.0, -0.0]}\n'
+        '{"x": [1, 0.0], "u": [2.0], "xn": [3.0, 4.0]}\n'
+        '{"x": [3.0, 4.0], "u": [2.0], "xn": [5.0, 6.0]}\n'),
+}
+
+
+def _read_both(path):
+    """Each reader's result on ``path``: its arrays as bits, or its error message."""
+    results = []
+    for read in (read_jsonl, oracles.read_jsonl_per_line):
+        try:
+            ds = read(path)
+        except DatasetFormatError as e:
+            results.append(str(e))
+        else:
+            results.append([ds.env_id, ds.n, ds.n_u, ds.seed]
+                           + [a.view(np.uint64).tolist() for a in (ds.x, ds.u, ds.x_next)])
+    return results
+
+
 class TestJsonl:
     @pytest.mark.parametrize("case", sorted(WRITER_CASES))
     def test_writer_matches_per_float_oracle(self, tmp_path, case):
@@ -234,6 +330,47 @@ class TestJsonl:
         assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
         back = read_jsonl(tmp_path / "new.jsonl")
         assert back.content_hash() == ds.content_hash()
+
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_reader_matches_per_line_oracle_on_written_files(self, tmp_path, case):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, WRITER_CASES[case]())
+        new, ref = _read_both(path)
+        assert new == ref and not isinstance(new, str)
+
+    def test_reader_matches_per_line_oracle_without_chained_rows(self, tmp_path):
+        ds = generate_dataset("parking2", episodes=5, horizon=20, seed=8)
+        reverse = TransitionDataset(env_id=ds.env_id, n=ds.n, n_u=ds.n_u, seed=ds.seed,
+                                    x=ds.x[::-1], u=ds.u[::-1], x_next=ds.x_next[::-1])
+        assert not (reverse.x[1:] == reverse.x_next[:-1]).all(axis=1).any()
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, reverse)
+        new, ref = _read_both(path)
+        assert new == ref and not isinstance(new, str)
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_reader_matches_per_line_oracle_on_edited_files(self, tmp_path, case):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, generate_dataset("reacher", episodes=2, horizon=3, seed=1))
+        path.write_bytes(READER_CASES[case](path.read_text()).encode())
+        new, ref = _read_both(path)
+        assert new == ref
+
+    def test_chained_states_are_decoded_once(self, tmp_path, monkeypatch):
+        ds = generate_dataset("reacher", episodes=3, horizon=4, seed=1)
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, ds)
+        parsed = []
+
+        def number(text):
+            parsed.append(text)
+            return float(text)
+
+        monkeypatch.setattr(dataset, "_RECORD_DECODER",
+                            json.JSONDecoder(parse_float=number, parse_int=number))
+        assert read_jsonl(path).content_hash() == ds.content_hash()
+        # Each episode holds 5 states of 11 numbers and 4 controls of 2.
+        assert len(parsed) == 3 * (5 * 11 + 4 * 2)
 
     @pytest.mark.parametrize("field, shape", [("x", (4, 22)), ("u", (8, 1)), ("xn", (8, 12))])
     def test_wrong_row_width_rejected(self, field, shape):
@@ -292,8 +429,12 @@ class TestJsonl:
         '{"x": [[1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0], [1.0]], '
         '"u": [0.0, 0.0], "xn": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
         *(_record(token) for token in ("true", "false", "null", "NaN", "Infinity", "-Infinity")),
+        *(make(token) for make in (_record, _reordered_record)
+          for token in ("1e400", "-1e400", "1" * 400)),
     ], ids=["not-json", "int-field", "string-values", "nested-values",
-            "true", "false", "null", "NaN", "Infinity", "-Infinity"])
+            "true", "false", "null", "NaN", "Infinity", "-Infinity",
+            "1e400", "-1e400", "400-digits",
+            "reordered-1e400", "reordered--1e400", "reordered-400-digits"])
     def test_malformed_line_reports_line_number(self, tmp_path, record):
         ds = generate_dataset("reacher", episodes=1, horizon=3, seed=1)
         path = tmp_path / "bad.jsonl"
@@ -303,6 +444,30 @@ class TestJsonl:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError,
                            match=f"{re.escape(str(path))}: line 3: malformed record"):
+            read_jsonl(path)
+
+    def test_out_of_range_line_counts_blank_lines(self, tmp_path):
+        ds = generate_dataset("reacher", episodes=1, horizon=3, seed=1)
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, ds)
+        lines = path.read_text().splitlines()
+        lines[2:3] = ["", "  ", _record("-1e400")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"^{re.escape(str(path))}: line 5: malformed record: 'x'"):
+            read_jsonl(path)
+
+    @pytest.mark.parametrize("lineno, at", [(1, 2), (3, 2), (3, 10)])
+    def test_invalid_utf8_names_path_and_line(self, tmp_path, lineno, at):
+        ds = generate_dataset("reacher", episodes=1, horizon=3, seed=1)
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, ds)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1][:at] + b"\xff" + lines[lineno - 1][at:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DatasetFormatError,
+                           match=f"^{re.escape(str(path))}: line {lineno}: not valid UTF-8 "
+                                 r"\(byte 0xff\)$"):
             read_jsonl(path)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
