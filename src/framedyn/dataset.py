@@ -11,14 +11,14 @@ Floats are written with 17 significant digits, which round-trips float64
 exactly, so ``read(write(d)) == d`` bit-for-bit and re-serializing produces
 identical bytes.  The writer formats each state once: where ``x[i + 1]`` is
 bit-equal to ``x_next[i]``, as inside an episode, it reuses that text.  The
-reader decodes each state once in turn: a line in the writer's layout whose
-``x`` text is identical to the previous row's ``xn`` text copies that parsed
-row and decodes only its ``u`` and ``xn`` lists.  The files are unchanged; any
-other line, in this layout or another (other key order or spacing, extra
-keys), is decoded as a whole by the general JSON decoder, as before, with the
-same result.  The reader rejects records holding anything but numbers
-(``true``, ``null``, ``NaN``, ...), numbers beyond the float64 range and bytes
-that are not UTF-8, with the file and line.
+reader scans a line in the writer's layout once, decoding its lists in turn
+and checking the text between them; where the ``x`` list is the text of the
+previous scanned row's ``xn`` list, it copies that parsed row instead.  Any
+other line (other key order or spacing, extra keys) is decoded as a whole by
+the general JSON decoder, with the same result.  The reader rejects records
+holding anything but lists of numbers (strings, ``true``, ``null``, ``NaN``,
+...), numbers beyond the float64 range and bytes that are not UTF-8, with the
+file and line.
 """
 
 from __future__ import annotations
@@ -79,21 +79,21 @@ class TransitionDataset:
 # held more memory.
 _BLOCK_ROWS = 256
 
-# The writer's record layout around its three number lists.  The reader cuts
-# a chained row of exactly this form into its lists; any other row goes through
-# the general JSON decoder.
-_X_OPEN = '{"x": ['
-_U_SEP = '], "u": ['
-_XN_SEP = '], "xn": ['
-_CLOSE = "]}\n"
+# The writer's record layout: the text before, between and after its three
+# number lists.  The reader scans a line of exactly this form; any other line
+# goes through the general JSON decoder.
+_X_OPEN = '{"x": '
+_U_SEP = ', "u": '
+_XN_SEP = ', "xn": '
+_CLOSE = "}\n"
 
 
 def write_jsonl(path, dataset: TransitionDataset) -> None:
     header = {"env_id": dataset.env_id, "n": dataset.n, "n_u": dataset.n_u,
               "seed": dataset.seed, "count": len(dataset)}
     # "%.17g" of a Python float is the same text as f"{v:.17g}".
-    state_fmt = ", ".join(["%.17g"] * dataset.n)
-    row_fmt = (_X_OPEN + "%s" + _U_SEP + ", ".join(["%.17g"] * dataset.n_u)
+    state_fmt = "[" + ", ".join(["%.17g"] * dataset.n) + "]"
+    row_fmt = (_X_OPEN + "%s" + _U_SEP + "[" + ", ".join(["%.17g"] * dataset.n_u) + "]"
                + _XN_SEP + "%s" + _CLOSE)
     x, u, xn = dataset.x, dataset.u, dataset.x_next
     # Inside an episode x[i] is bit-equal to x_next[i - 1]; such a row reuses
@@ -128,15 +128,29 @@ def _check_utf8(path, lineno, line) -> None:
         ) from None
 
 
-def _x_next_text(line):
-    # For a decoded record line whose last quote closes the key of an _XN_SEP:
-    # the text from there to _CLOSE holds no later key, and if it holds no
-    # brace either, it is the body of the top-level object's last "xn" list.
-    start = line.rfind('"') + len('": [')
-    text = line[start:-len(_CLOSE)]
-    if line.startswith(_XN_SEP, start - len(_XN_SEP)) and line.endswith(_CLOSE) and "}" not in text:
-        return text
-    return None
+def _scan(line, chain, scan_once):
+    """The x, u and x_next lists of a line in the writer's layout, and the text
+    of its x_next list; x is None where its text is ``chain``.  Raises
+    StopIteration or ValueError where the line departs from the layout or a
+    list holds a quote, which only a string has."""
+    if chain is not None and line.startswith(chain, len(_X_OPEN)):
+        x, end = None, len(_X_OPEN) + len(chain)
+    else:
+        x, end = scan_once(line, len(_X_OPEN))
+        if line.find('"', len(_X_OPEN), end) >= 0:
+            raise ValueError
+    if not line.startswith(_U_SEP, end):
+        raise ValueError
+    start = end + len(_U_SEP)
+    u, end = scan_once(line, start)
+    if not line.startswith(_XN_SEP, end) or line.find('"', start, end) >= 0:
+        raise ValueError
+    start = end + len(_XN_SEP)
+    xn, end = scan_once(line, start)
+    text = line[start:end]
+    if line[end:] != _CLOSE or '"' in text:
+        raise ValueError
+    return x, u, xn, text
 
 
 def read_jsonl(path) -> TransitionDataset:
@@ -171,12 +185,12 @@ def read_jsonl(path) -> TransitionDataset:
         xs = np.empty((count, n))
         us = np.empty((count, n_u))
         xns = np.empty((count, n))
-        decode, raw_decode = _RECORD_DECODER.decode, _RECORD_DECODER.raw_decode
+        # scan_once is raw_decode without its Python frame: it returns (value,
+        # end) or raises StopIteration where no value starts.
+        decode, scan_once = _RECORD_DECODER.decode, _RECORD_DECODER.scan_once
         rows = 0
         blank_before = []  # rows read before each blank line: the row-to-line map
-        # The previous line, its x_next text once known, and where this line's
-        # x text ends if it is that text.
-        prev_line, prev_text, x_end = None, None, 0
+        chain = None  # the previous row's x_next list text, if that row was scanned
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 blank_before.append(rows)
@@ -185,34 +199,24 @@ def read_jsonl(path) -> TransitionDataset:
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: more data lines than header count {count}"
                 )
-            # A row whose x text is identical to the previous row's x_next text
-            # copies that parsed row, since identical text parses to identical
-            # bits; only its u and x_next lists are decoded.  A valid record has
-            # no "t", "a" or "l"; each JSON literal and constant (true, null,
-            # NaN, ...) has one and would otherwise read as a float.
-            chained = False
-            if (prev_line is not None and line.startswith(_U_SEP, x_end)
-                    and line.startswith(_X_OPEN)):
-                if prev_text is None:
-                    prev_text = _x_next_text(prev_line)
-                chained = (prev_text is not None and line.startswith(prev_text, len(_X_OPEN))
-                           and line.endswith(_CLOSE)
-                           and not ("t" in line or "a" in line or "l" in line))
-            if chained:
-                u_text, _, next_text = line[x_end + len(_U_SEP):-len(_CLOSE)].partition(_XN_SEP)
-                u_list, xn_list = "[" + u_text + "]", "[" + next_text + "]"
+            # A line in the writer's layout is scanned; where its x list is the
+            # previous row's x_next text, it is that parsed row, since identical
+            # text parses to identical bits.  A valid record holds no "t", "a"
+            # or "l"; each JSON literal and constant (true, null, NaN, ...) has
+            # one and would otherwise read as a float.
+            text = None
+            if line.startswith(_X_OPEN) and not ("t" in line or "a" in line or "l" in line):
                 try:
-                    (u, u_end), (xn, xn_end) = raw_decode(u_list), raw_decode(xn_list)
-                    chained = (u_end == len(u_list) and xn_end == len(xn_list)
-                               and len(u) == n_u and len(xn) == n)
-                    if chained:
-                        xs[rows], us[rows], xns[rows] = xns[rows - 1], u, xn
-                except (TypeError, ValueError):
-                    chained = False
-            if chained:
-                prev_text, x_end = next_text, len(_X_OPEN) + len(next_text)
-            else:
-                # Any other row is decoded as a whole and reports what is wrong.
+                    x, u, xn, text = _scan(line, chain, scan_once)
+                    if x is None:
+                        x = xns[rows - 1]
+                    if len(x) != n or len(u) != n_u or len(xn) != n:
+                        raise ValueError
+                    xs[rows], us[rows], xns[rows] = x, u, xn
+                except (RecursionError, StopIteration, TypeError, ValueError):
+                    text = None
+            if text is None:
+                # Any other line is decoded whole and reports what is wrong.
                 if not line.isascii():
                     _check_utf8(path, lineno, line)
                 try:
@@ -220,34 +224,26 @@ def read_jsonl(path) -> TransitionDataset:
                         for token in ("true", "false", "null", "NaN", "Infinity"):
                             if token in line:
                                 raise ValueError(f"non-number token {token!r}")
-                    # raw_decode skips decode's whitespace scans; a line that
-                    # does not end right after its object gets decode's result
-                    # or error.
-                    try:
-                        obj, end = raw_decode(line)
-                    except ValueError:
-                        end = None
-                    if end is None or line[end:] != "\n":
-                        obj = decode(line)
+                    obj = decode(line)
                     x, u, xn = obj["x"], obj["u"], obj["xn"]
                     if len(x) != n or len(xn) != n or len(u) != n_u:
                         raise DatasetFormatError(
                             f"{path}: line {lineno}: dimensions do not match header "
                             f"(n={n}, n_u={n_u})"
                         )
+                    for name, values in (("x", x), ("u", u), ("xn", xn)):
+                        if set(map(type, values)) != {float}:
+                            raise ValueError(f"'{name}' must be a list of numbers")
                     xs[rows], us[rows], xns[rows] = x, u, xn
                 except DatasetFormatError:
                     raise
-                except (KeyError, TypeError, ValueError) as e:  # ValueError covers JSONDecodeError
+                # ValueError covers JSONDecodeError; RecursionError is a list
+                # nested deeper than the decoder follows.
+                except (KeyError, RecursionError, TypeError, ValueError) as e:
                     raise DatasetFormatError(
                         f"{path}: line {lineno}: malformed record: {e}"
                     ) from e
-                # The x_next text is found only when the next line has _U_SEP
-                # where it would end.
-                prev_text = None
-                x_end = (len(_X_OPEN) + len(line) - len(_CLOSE)
-                         - (line.rfind('"') + len('": [')))
-            prev_line = line
+            chain = text
             rows += 1
         if rows != count:
             raise DatasetFormatError(

@@ -100,34 +100,26 @@ class Rng:
             filled += take
         return out
 
+    def _draw(self, size, transform):
+        # ``transform`` of doubles in [0, 1) from the next 64-bit values:
+        # a Python scalar when ``size`` is None, else an array of shape ``size``.
+        count = 1 if size is None else int(np.prod(size))
+        vals = transform((self.next_u64(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        return vals[0].item() if size is None else vals.reshape(size)
+
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         """Uniform doubles in [low, high); scalar when ``size`` is None."""
-        count = 1 if size is None else int(np.prod(size))
-        u = (self.next_u64(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        vals = low + u * (high - low)
-        if size is None:
-            return float(vals[0])
-        return vals.reshape(size)
+        return self._draw(size, lambda u: low + u * (high - low))
 
     def integers(self, n: int, size=None):
         """Uniform integers in [0, n); scalar when ``size`` is None."""
         if not 0 < n < 2**53:
             raise ValueError(f"integers() requires 0 < n < 2**53, got {n}")
-        count = 1 if size is None else int(np.prod(size))
-        u = (self.next_u64(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        vals = np.floor(u * n).astype(np.int64)
-        if size is None:
-            return int(vals[0])
-        return vals.reshape(size)
+        return self._draw(size, lambda u: np.floor(u * n).astype(np.int64))
 
     def angles(self, size=None):
         """Uniform angles in (-pi, pi]."""
-        count = 1 if size is None else int(np.prod(size))
-        u = (self.next_u64(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        vals = np.pi - u * (2.0 * np.pi)
-        if size is None:
-            return float(vals[0])
-        return vals.reshape(size)
+        return self._draw(size, lambda u: np.pi - u * (2.0 * np.pi))
 
     def permutation(self, n: int) -> np.ndarray:
         """Random permutation of range(n) via 64-bit sort keys."""

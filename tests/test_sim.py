@@ -297,6 +297,23 @@ READER_CASES = {
                                             '7.0, 8.0, 9.0, 10.0, 11.0]'),
     # Row 1's last '], "xn": [' is inside another member, so row 2 is not JSON.
     "nested-xn": lambda t: _after_key(t, ', "v": [{"a": [1.0], "xn": [2.0]}]'),
+    # Row 1's x is row 0's x_next text, and the row departs from the writer's
+    # layout right after its x, u or x_next list, or in its first key.
+    "other-key-after-chained-x": _edit_row_1(r'"u"', '"U"'),
+    "member-after-u": _edit_row_1(r', "xn"', ', "k": 0, "xn"'),
+    "other-key-after-u": _edit_row_1(r'"xn"', '"xN"'),
+    "text-after-xn": _edit_row_1(r"\}\n", ", 0}\n"),
+    "other-first-key": _edit_row_1(r'"x"', '"X"'),
+    # Row 1's u list starts one space later, so no value starts where the
+    # writer's would.
+    "space-before-u": _edit_row_1(r'"u": \[', '"u":  ['),
+    # Row 0, which has no previous row, holds a one-number x.
+    "one-number-x": lambda t: _edit_records(
+        t, lambda i, line: re.sub(r'"x": \[[^\]]*', '"x": [0.5', line) if i == 0 else line),
+    # Row 1 is in another layout, so row 2 in the writer's layout decodes its
+    # x, which is row 1's x_next text, and row 3 chains onto row 2 again.
+    "restart-after-whole-line": lambda t: _edit_records(
+        t, lambda i, line: _reorder_keys(line) if i == 1 else line),
     # Row 1's x has the values of row 0's x_next in other text: 1 against 1.0,
     # and 0.0 against -0.0, which differ in sign.
     "same-values-other-text": lambda t: (
@@ -372,6 +389,22 @@ class TestJsonl:
         # Each episode holds 5 states of 11 numbers and 4 controls of 2.
         assert len(parsed) == 3 * (5 * 11 + 4 * 2)
 
+    def test_chain_restarts_after_whole_line_row(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, generate_dataset("reacher", episodes=1, horizon=5, seed=1))
+        path.write_text(READER_CASES["restart-after-whole-line"](path.read_text()))
+        parsed = []
+
+        def number(text):
+            parsed.append(text)
+            return float(text)
+
+        monkeypatch.setattr(dataset, "_RECORD_DECODER",
+                            json.JSONDecoder(parse_float=number, parse_int=number))
+        read_jsonl(path)
+        # Rows 0-2 decode all 24 numbers; rows 3-4 decode only u and x_next.
+        assert len(parsed) == 3 * 24 + 2 * 13
+
     @pytest.mark.parametrize("field, shape", [("x", (4, 22)), ("u", (8, 1)), ("xn", (8, 12))])
     def test_wrong_row_width_rejected(self, field, shape):
         arrays = {"x": np.zeros((8, 11)), "u": np.zeros((8, 2)), "xn": np.zeros((8, 11))}
@@ -430,11 +463,17 @@ class TestJsonl:
         '"u": [0.0, 0.0], "xn": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
         *(_record(token) for token in ("true", "false", "null", "NaN", "Infinity", "-Infinity")),
         *(make(token) for make in (_record, _reordered_record)
-          for token in ("1e400", "-1e400", "1" * 400)),
+          for token in ("1e400", "-1e400", "1" * 400, '"1.5"', '" 2 "')),
+        _record("0.0").replace('"u": [0.0, 0.0]', '"u": "12"'),
+        _record("0.0").replace('"u": [0.0', '"u": ["1.5"'),
+        _record("0.0").replace('"xn": [0.0', '"xn": ["1.5"'),
+        _record("[" * 100_000 + "0.0" + "]" * 100_000),
     ], ids=["not-json", "int-field", "string-values", "nested-values",
             "true", "false", "null", "NaN", "Infinity", "-Infinity",
-            "1e400", "-1e400", "400-digits",
-            "reordered-1e400", "reordered--1e400", "reordered-400-digits"])
+            "1e400", "-1e400", "400-digits", "numeric-string", "spaced-numeric-string",
+            "reordered-1e400", "reordered--1e400", "reordered-400-digits",
+            "reordered-numeric-string", "reordered-spaced-numeric-string", "string-field",
+            "string-in-u", "string-in-xn", "deep-nesting"])
     def test_malformed_line_reports_line_number(self, tmp_path, record):
         ds = generate_dataset("reacher", episodes=1, horizon=3, seed=1)
         path = tmp_path / "bad.jsonl"
