@@ -23,7 +23,7 @@ from framedyn.training import (
     save_model,
     train,
 )
-from framedyn.verify import run_suites
+from framedyn.verify import check_sim_invariance, run_suites
 
 # (env, policy, episodes, horizon, seed) -> content_hash() as 16 hex digits.
 GOLDEN_DATASET_HASHES = {
@@ -175,6 +175,42 @@ GOLDEN_VERIFY_MAX_ERRORS = [
     ("gradcheck", "3 hidden", "0x1.bef6f4628f0d4p-23"),
 ]
 
+# As GOLDEN_DATASET_HASHES, for episodes whose draws (initial state plus
+# horizon * k policy values) cross the 1024-lane bank of one Rng, or end
+# just short of it (14 + 252 * 4 = 1022).
+GOLDEN_BANK_CROSSING_HASHES = {
+    ("parking2", "uniform-random", 3, 255, 0): "ea97064ead2ed85a",
+    ("parking2", "uniform-random", 3, 252, 0): "915d2d81b06e169e",
+    ("reacher", "uniform-random", 2, 510, 0): "b70a4743ab1281b7",
+    ("parking2", "scripted-goal-seek", 3, 255, 0): "d02381893890f086",
+}
+
+# check_sim_invariance(env, seed=3, samples=257): (max_error as float hex, worst_index).
+GOLDEN_SIM_INVARIANCE = {
+    "parking2": ("0x1.0000000000000p-49", 10),
+    "reacher": ("0x1.0000000000000p-51", 118),
+}
+
+# Chunk sizes for successive Rng.next_u64 calls that cross the bank.
+RNG_CHUNKS = {
+    "3-5-1300": (3, 5, 1300),
+    "1x40-2000": (1,) * 40 + (2000,),
+    "1024-1025": (1024, 1025),
+}
+
+# (seed, RNG_CHUNKS key) -> sha256 prefix of the concatenated next_u64 chunks.
+GOLDEN_RNG_CHUNK_DIGESTS = {
+    (0, "3-5-1300"): "97277b413613ab94",
+    (0, "1x40-2000"): "59519e2adc2197a9",
+    (0, "1024-1025"): "4e8a9bc8dccb0240",
+    (7, "3-5-1300"): "f246da8a7a0a22ff",
+    (7, "1x40-2000"): "b5f1bf1db2610623",
+    (7, "1024-1025"): "a290d2cc93dbec0c",
+    (2**64 - 1, "3-5-1300"): "77d17031b954a284",
+    (2**64 - 1, "1x40-2000"): "16454741154feb29",
+    (2**64 - 1, "1024-1025"): "0e7df9d4f636f54b",
+}
+
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_DATASET_HASHES), ids=lambda k: "-".join(map(str, k)))
 def test_dataset_content_hash_is_golden(key):
@@ -244,3 +280,25 @@ def test_untrained_predict_is_golden(key):
 def test_verify_max_errors_are_golden():
     got = [(r.suite, r.subject, r.max_error.hex()) for r in run_suites("all")]
     assert got == GOLDEN_VERIFY_MAX_ERRORS
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_BANK_CROSSING_HASHES),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_bank_crossing_dataset_hash_is_golden(key):
+    env_id, policy, episodes, horizon, seed = key
+    ds = generate_dataset(env_id, episodes, horizon, policy=policy, seed=seed)
+    assert f"{ds.content_hash():016x}" == GOLDEN_BANK_CROSSING_HASHES[key]
+
+
+@pytest.mark.parametrize("env_id", sorted(GOLDEN_SIM_INVARIANCE))
+def test_sim_invariance_is_golden(env_id):
+    r = check_sim_invariance(env_id, seed=3, samples=257)
+    assert (r.max_error.hex(), r.worst_index) == GOLDEN_SIM_INVARIANCE[env_id]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_RNG_CHUNK_DIGESTS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_rng_chunk_sequence_is_golden(key):
+    seed, chunks = key
+    rng = Rng(seed)
+    got = np.concatenate([rng.next_u64(c) for c in RNG_CHUNKS[chunks]])
+    assert _digest(got) == GOLDEN_RNG_CHUNK_DIGESTS[key]
