@@ -9,8 +9,8 @@ numpy's own generator evolution.  The scheme, precisely:
   (``mix64``); string tags are folded in via the first 8 bytes of their
   SHA-256 digest, little-endian.
 * Uniform values come from a bank of ``BANK_SIZE`` (1024) xorshift64*
-  streams advanced in lockstep.  Stream ``j`` starts at
-  ``mix64(seed + (j + 1) * 0x9E3779B97F4A7C15)`` (zero states are replaced by
+  streams advanced in lockstep.  Stream ``j`` (``0 <= j < 1024``) starts at
+  ``mix64(seed + j * 0x9E3779B97F4A7C15)`` (zero states are replaced by
   the golden-ratio constant).  Each advance applies
   ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27`` and outputs
   ``x * 0x2545F4914F6CDD1D``.  Consumers take values from successive lockstep
@@ -19,6 +19,10 @@ numpy's own generator evolution.  The scheme, precisely:
 * A 64-bit value ``v`` maps to a double in [0, 1) as ``(v >> 11) * 2**-53``.
 * ``integers(n)`` is ``floor(uniform() * n)`` (requires ``n < 2**53``).
 * ``permutation(n)`` sorts ``n`` fresh 64-bit keys with a stable argsort.
+* ``uniform_rows(seeds, count)`` draws the first ``count`` uniforms of many
+  fresh generators in one pass: row ``e`` is bit-equal to
+  ``Rng(seeds[e]).uniform(size=count)``.  Lane seeding and the lockstep
+  advance are the same helpers ``Rng`` uses.
 """
 
 from __future__ import annotations
@@ -58,33 +62,65 @@ def derive_seed(seed: int, *parts: int | str) -> int:
     return s
 
 
+def _seed_lanes(seeds, lanes: int) -> np.ndarray:
+    """Starting states of the first ``lanes`` streams of each seed:
+    shape ``np.shape(seeds) + (lanes,)``."""
+    j = np.arange(1, lanes + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        state = np.asarray(seeds, dtype=np.uint64)[..., None] + j * np.uint64(_GOLDEN)
+        state ^= state >> np.uint64(30)
+        state *= np.uint64(0xBF58476D1CE4E5B9)
+        state ^= state >> np.uint64(27)
+        state *= np.uint64(0x94D049BB133111EB)
+        state ^= state >> np.uint64(31)
+    state[state == 0] = np.uint64(_GOLDEN)
+    return state
+
+
+def _xorshift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One lockstep advance of the streams ``x``: (new states, outputs)."""
+    with np.errstate(over="ignore"):
+        x = x ^ (x >> np.uint64(12))
+        x = x ^ (x << np.uint64(25))
+        x = x ^ (x >> np.uint64(27))
+        return x, x * _XS_MULT
+
+
+def _unit(values: np.ndarray) -> np.ndarray:
+    """64-bit values to doubles in [0, 1)."""
+    return (values >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def uniform_rows(seeds, count: int) -> np.ndarray:
+    """Uniform doubles in [0, 1) for many fresh generators at once: row ``e``
+    of the ``(len(seeds), count)`` result is bit-equal to
+    ``Rng(seeds[e]).uniform(size=count)``.
+
+    Only the first ``min(count, BANK_SIZE)`` lanes of each bank are seeded,
+    and each lockstep round is written straight into its columns, so one
+    call costs a few numpy operations per round instead of per generator.
+    """
+    state = _seed_lanes([s & _MASK for s in seeds], min(count, BANK_SIZE))
+    out = np.empty((state.shape[0], count))
+    for start in range(0, count, BANK_SIZE):
+        # The last round advances only the lanes it reads.
+        state, values = _xorshift(state[:, : count - start])
+        out[:, start : start + values.shape[1]] = _unit(values)
+    return out
+
+
 class Rng:
     """Buffered bank of xorshift64* streams (see module docstring)."""
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK
-        base = np.uint64(self.seed)
-        j = np.arange(1, BANK_SIZE + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            state = base + j * np.uint64(_GOLDEN)
-            state ^= state >> np.uint64(30)
-            state *= np.uint64(0xBF58476D1CE4E5B9)
-            state ^= state >> np.uint64(27)
-            state *= np.uint64(0x94D049BB133111EB)
-            state ^= state >> np.uint64(31)
-        state[state == 0] = np.uint64(_GOLDEN)
-        self._state = state
+        self._state = _seed_lanes(self.seed, BANK_SIZE)
         self._buffer = np.empty(0, dtype=np.uint64)
         self._cursor = 0
 
     def _advance(self) -> np.ndarray:
-        x = self._state
-        with np.errstate(over="ignore"):
-            x = x ^ (x >> np.uint64(12))
-            x = x ^ (x << np.uint64(25))
-            x = x ^ (x >> np.uint64(27))
-            self._state = x
-            return x * _XS_MULT
+        self._state, values = _xorshift(self._state)
+        return values
 
     def next_u64(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit values, in consumption order."""
@@ -104,7 +140,7 @@ class Rng:
         # ``transform`` of doubles in [0, 1) from the next 64-bit values:
         # a Python scalar when ``size`` is None, else an array of shape ``size``.
         count = 1 if size is None else int(np.prod(size))
-        vals = transform((self.next_u64(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        vals = transform(_unit(self.next_u64(count)))
         return vals[0].item() if size is None else vals.reshape(size)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
@@ -125,7 +161,3 @@ class Rng:
         """Random permutation of range(n) via 64-bit sort keys."""
         keys = self.next_u64(n)
         return np.argsort(keys, kind="stable")
-
-    def spawn(self, *parts: int | str) -> "Rng":
-        """Independent child generator seeded by ``derive_seed``."""
-        return Rng(derive_seed(self.seed, *parts))

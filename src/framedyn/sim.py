@@ -10,19 +10,21 @@ Two environments:
   fixed target, observed through the 11-dimensional layout described in
   :class:`framedyn.builtin.ReacherGroup`.
 
-Step functions are pure and accept leading batch axes.  Control policies
-are batched: ``policy(x, draws) -> u`` maps states ``x`` of shape (E, n) and
-uniforms ``draws`` in [0, 1) of shape (E, k) to controls of shape (E, n_u);
-``EnvSpec.policy_draws`` declares ``k`` (``n_u`` for ``uniform-random``, 0
-for ``scripted-goal-seek``).
+Step functions are pure and accept leading batch axes.  Initial states and
+control policies are batched: ``initial_state(draws) -> x`` maps uniforms in
+[0, 1) of shape (E, m) to states of shape (E, n), and ``policy(x, draws) ->
+u`` maps states of shape (E, n) and uniforms of shape (E, k) to controls of
+shape (E, n_u).  ``EnvSpec.state_draws`` declares ``m`` (14 for parking2, 6
+for reacher) and ``EnvSpec.policy_draws`` declares ``k`` (``n_u`` for
+``uniform-random``, 0 for ``scripted-goal-seek``).
 
 Dataset generation is deterministic given the seed and steps all episodes in
 lockstep: one policy call and one step call per time step.  Episode ``e``
-has its own generator ``Rng(derive_seed(seed, "episode", e))``, which draws
-the initial state, then ``horizon * k`` policy values in step order (one
-``(horizon, k)`` block; row ``t`` feeds step ``t``).  An :class:`Rng`
-sequence depends only on the number of values requested, so this equals
-drawing the policy values step by step.
+gets the first ``m + horizon * k`` values of
+``Rng(derive_seed(seed, "episode", e))``: ``m`` for the initial state, then
+``k`` per step in step order.  The values of all episodes are drawn in one
+pass by :func:`framedyn.rng.uniform_rows`, bit-equal to one generator per
+episode.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import TransitionDataset
-from .rng import Rng, derive_seed
+from .rng import derive_seed, uniform_rows
 
 CAR_DT = 0.1
 CAR_WHEELBASE = 1.0
@@ -141,7 +143,7 @@ def reacher_step(x, u, dt: float = REACHER_DT) -> np.ndarray:
 
 
 # -- initial states ----------------------------------------------------------
-# One block of uniforms per state, scaled field by field: the same values as
+# Batched; row ``e`` of the draws is scaled field by field, the same values as
 # one scalar ``Rng`` draw per field in field order.
 
 
@@ -161,25 +163,26 @@ def _random_car_block(d) -> np.ndarray:
     ang = _angle(d[2])
     speed = _uniform(d[3], 1.0)
     hy, hz = np.cos(ang), np.sin(ang)
-    return np.array([y, z, speed * hy, speed * hz, hy, hz])
+    return np.stack([y, z, speed * hy, speed * hz, hy, hz], axis=-1)
 
 
 def _random_goal_block(d) -> np.ndarray:
     ang = _angle(d[2])
-    return np.array([_uniform(d[0], 5.0), _uniform(d[1], 5.0), 0.0, 0.0,
-                     np.cos(ang), np.sin(ang)])
+    zero = np.zeros_like(ang)
+    return np.stack([_uniform(d[0], 5.0), _uniform(d[1], 5.0), zero, zero,
+                     np.cos(ang), np.sin(ang)], axis=-1)
 
 
-def parking_initial_state(rng: Rng) -> np.ndarray:
-    d = rng.uniform(size=14)
+def parking_initial_state(draws) -> np.ndarray:
+    d = draws.T
     return np.concatenate(
         [_random_car_block(d[0:4]), _random_car_block(d[4:8]),
-         _random_goal_block(d[8:11]), _random_goal_block(d[11:14])]
+         _random_goal_block(d[8:11]), _random_goal_block(d[11:14])], axis=-1
     )
 
 
-def reacher_initial_state(rng: Rng) -> np.ndarray:
-    d = rng.uniform(size=6)
+def reacher_initial_state(draws) -> np.ndarray:
+    d = draws.T
     th1, th2 = _angle(d[0]), _angle(d[1])
     w1, w2 = _uniform(d[2], 1.0), _uniform(d[3], 1.0)
     # Target uniform over the reachable disk of radius 2 * link length.
@@ -187,9 +190,9 @@ def reacher_initial_state(rng: Rng) -> np.ndarray:
     t_ang = _angle(d[5])
     ty, tz = radius * np.cos(t_ang), radius * np.sin(t_ang)
     fy, fz = _reacher_fingertip(th1, th2)
-    return np.array(
+    return np.stack(
         [np.cos(th1), np.cos(th2), np.sin(th1), np.sin(th2),
-         ty, tz, w1, w2, fy - ty, fz - tz, 0.0]
+         ty, tz, w1, w2, fy - ty, fz - tz, np.zeros_like(th1)], axis=-1
     )
 
 
@@ -259,6 +262,7 @@ class EnvSpec:
     group_id: str
     step: Callable
     initial_state: Callable
+    state_draws: int
     policies: dict
     policy_draws: dict
     default_episodes: int
@@ -270,7 +274,7 @@ class EnvSpec:
 ENVS = {
     "parking2": EnvSpec(
         env_id="parking2", n=24, n_u=4, group_id="parking2",
-        step=parking_step, initial_state=parking_initial_state,
+        step=parking_step, initial_state=parking_initial_state, state_draws=14,
         policies={"uniform-random": _parking_uniform,
                   "scripted-goal-seek": _parking_goal_seek},
         policy_draws={"uniform-random": 4, "scripted-goal-seek": 0},
@@ -279,7 +283,7 @@ ENVS = {
     ),
     "reacher": EnvSpec(
         env_id="reacher", n=11, n_u=2, group_id="reacher",
-        step=reacher_step, initial_state=reacher_initial_state,
+        step=reacher_step, initial_state=reacher_initial_state, state_draws=6,
         policies={"uniform-random": _reacher_uniform,
                   "scripted-goal-seek": _reacher_goal_seek},
         policy_draws={"uniform-random": 2, "scripted-goal-seek": 0},
@@ -314,20 +318,16 @@ def generate_dataset(
         raise ValueError("episodes and horizon must be positive")
     if policy not in env.policies:
         raise ValueError(f"unknown policy '{policy}' (expected one of {POLICIES})")
-    policy_fn, k = env.policies[policy], env.policy_draws[policy]
+    policy_fn, m, k = env.policies[policy], env.state_draws, env.policy_draws[policy]
     # Outputs first, so impossible sizes fail before any work.
     xs = np.empty((episodes, horizon, env.n))
     us = np.empty((episodes, horizon, env.n_u))
     xns = np.empty((episodes, horizon, env.n))
-    draws = np.empty((episodes, horizon, k))
-    x = np.empty((episodes, env.n))
-    for ep in range(episodes):
-        ep_rng = Rng(derive_seed(seed, "episode", ep))
-        x[ep] = env.initial_state(ep_rng)
-        if k:
-            draws[ep] = ep_rng.uniform(size=(horizon, k))
+    draws = uniform_rows([derive_seed(seed, "episode", ep) for ep in range(episodes)],
+                         m + horizon * k)
+    x = env.initial_state(draws[:, :m])
     for t in range(horizon):
-        u = policy_fn(x, draws[:, t])
+        u = policy_fn(x, draws[:, m + t * k : m + (t + 1) * k])
         x_next = env.step(x, u)
         xs[:, t], us[:, t], xns[:, t] = x, u, x_next
         x = x_next

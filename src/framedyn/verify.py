@@ -19,7 +19,7 @@ from .builtin import get_group
 from .groups import TransformationGroup
 from .mlp import Mlp, MlpSpec
 from .models import SymmetryReducedModel
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, uniform_rows
 from .sim import get_env
 from .training import build_symmetry_model
 
@@ -152,7 +152,8 @@ def check_sim_invariance(env_id: str, seed: int = 0, samples: int = 1000) -> Sui
     env = get_env(env_id)
     group = get_group(env.group_id)
     rng = Rng(derive_seed(seed, "sim", env_id))
-    x = np.stack([env.initial_state(rng.spawn("init", i)) for i in range(samples)])
+    x = env.initial_state(uniform_rows(
+        [derive_seed(rng.seed, "init", i) for i in range(samples)], env.state_draws))
     u = group.random_control(rng, size=samples)
     g = group.random_element(rng, size=samples)
     err, idx = _max_abs(

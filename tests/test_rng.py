@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from framedyn.rng import Rng, derive_seed, mix64
+from framedyn.rng import Rng, derive_seed, mix64, uniform_rows
 
 
 def test_same_seed_same_stream():
@@ -48,8 +49,10 @@ def test_derive_seed_stable_and_sensitive():
     assert mix64(0) != mix64(1)
 
 
-def test_spawn_matches_derive_seed():
-    assert np.array_equal(
-        Rng(11).spawn("x", 2).next_u64(10),
-        Rng(derive_seed(11, "x", 2)).next_u64(10),
-    )
+@pytest.mark.parametrize("count", [1, 6, 14, 1023, 1024, 1025, 2048, 3000])
+def test_uniform_rows_equal_fresh_generators(count):
+    seeds = [0, 1, 7, 2**63, 2**64 - 1]
+    rows = uniform_rows(seeds, count)
+    assert rows.shape == (len(seeds), count)
+    for row, seed in zip(rows, seeds):
+        assert row.tobytes() == Rng(seed).uniform(size=count).tobytes()

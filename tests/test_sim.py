@@ -7,7 +7,7 @@ import pytest
 
 from framedyn import dataset
 from framedyn.dataset import DatasetFormatError, TransitionDataset, read_jsonl, write_jsonl
-from framedyn.rng import Rng
+from framedyn.rng import Rng, uniform_rows
 from framedyn.sim import (
     car_step,
     generate_dataset,
@@ -75,16 +75,20 @@ def _scalar_reacher_state(rng):
                                               ("reacher", _scalar_reacher_state)])
 def test_initial_state_block_draw_equals_scalar_draws(env_id, reference):
     env = get_env(env_id)
+    x = env.initial_state(uniform_rows(range(200), env.state_draws))
+    assert x.shape == (200, env.n)
     for seed in range(200):
-        rng, ref_rng = Rng(seed), Rng(seed)
-        assert env.initial_state(rng).tobytes() == reference(ref_rng).tobytes()
-        assert rng.uniform() == ref_rng.uniform()  # same number of values drawn
+        ref_rng = Rng(seed)
+        assert x[seed].tobytes() == reference(ref_rng).tobytes()
+        # Same number of values drawn: the reference's next value is the
+        # stream's value right after the state's draws.
+        assert ref_rng.uniform() == Rng(seed).uniform(size=env.state_draws + 1)[-1]
 
 
 class TestReacherStep:
     def test_zero_torque_at_rest_keeps_angles(self):
         env = get_env("reacher")
-        x = env.initial_state(Rng(3))
+        x = env.initial_state(uniform_rows([3], env.state_draws))[0]
         x[6] = x[7] = 0.0
         x = reacher_step(x, np.zeros(2) + 0.0)  # damping acts on zero velocity
         nxt = reacher_step(x, np.zeros(2))
@@ -92,7 +96,7 @@ class TestReacherStep:
 
     def test_unit_torque_from_rest_gives_expected_velocity(self):
         env = get_env("reacher")
-        x = env.initial_state(Rng(4))
+        x = env.initial_state(uniform_rows([4], env.state_draws))[0]
         x[6] = x[7] = 0.0
         nxt = reacher_step(x, np.array([1.0, 0.0]))
         assert abs(nxt[6] - 0.05) < 1e-15
