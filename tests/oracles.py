@@ -5,17 +5,24 @@ equations for each group), kept deliberately separate from the library code
 paths they check: the library computes reductions by composing the frame
 action with the b-projection, and frame inverses through the group inverse.
 :class:`LoopAdam` is the per-parameter Adam loop that the fused update on a
-flat parameter vector must reproduce bit for bit, :func:`write_jsonl_per_float`
+flat parameter vector must reproduce bit for bit, :func:`train_per_update` the
+training loop (one index draw, fancy-index gathers and ``np.mean`` loss per
+update) whose records and parameters ``train`` must reproduce,
+:func:`write_jsonl_per_float`
 is the dataset writer whose bytes the state-reusing writer must reproduce, and
 :func:`read_jsonl_per_line` the dataset reader whose arrays and errors the
 state-reusing reader must reproduce.
 """
 
 import json
+import time
 
 import numpy as np
 
+from framedyn import training
 from framedyn.dataset import DatasetFormatError, TransitionDataset
+from framedyn.mlp import Adam
+from framedyn.rng import Rng, derive_seed
 
 
 def car_frame(x):
@@ -75,6 +82,53 @@ class LoopAdam:
             v *= b2
             v += (1.0 - b2) * g * g
             p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+def train_per_update(model, dataset, config):
+    """``training.train`` drawing each update's batch indices on their own."""
+    regressor = model.regressor
+    split_seed = config.split_seed
+    if split_seed is None:
+        split_seed = derive_seed(dataset.content_hash(), config.seed)
+    train_idx, test_idx = training.train_test_split(
+        len(dataset), config.test_fraction, split_seed)
+    train_split = training._encode_split(model, dataset, train_idx)
+    test_split = training._encode_split(model, dataset, test_idx)
+    inputs, _, targets, _ = train_split
+    batch_rng = Rng(derive_seed(config.seed, "batches"))
+    adam = Adam(regressor.flat_params, lr=config.learning_rate,
+                betas=training.ADAM_BETAS, eps=training.ADAM_EPS)
+    records = []
+    start = time.perf_counter()
+
+    def record(update_index):
+        try:
+            train_mse = training.observation_mse(model, dataset, train_idx, train_split)
+            test_mse = training.observation_mse(model, dataset, test_idx, test_split)
+        except ValueError as e:
+            raise training.TrainingDivergedError(
+                f"evaluation failed at update {update_index}: {e}", records) from e
+        if not (np.isfinite(train_mse) and np.isfinite(test_mse)):
+            raise training.TrainingDivergedError(
+                f"non-finite evaluation error at update {update_index}", records)
+        records.append(training.MetricRecord(
+            update_index, train_mse, test_mse, time.perf_counter() - start))
+
+    with np.errstate(all="ignore"):
+        record(0)
+        for update in range(1, config.updates + 1):
+            j = batch_rng.integers(len(train_idx), size=config.batch_size)
+            out, cache = regressor.forward_cached(inputs[j])
+            diff = out - targets[j]
+            loss = float(np.mean(diff * diff))
+            if not np.isfinite(loss):
+                raise training.TrainingDivergedError(
+                    f"non-finite batch loss at update {update}", records)
+            regressor.backward(cache, (2.0 / diff.size) * diff)
+            adam.step(regressor.flat_params, regressor.flat_grads)
+            if update % config.eval_every == 0 or update == config.updates:
+                record(update)
+    return records
 
 
 def write_jsonl_per_float(path, dataset):

@@ -24,6 +24,8 @@ from framedyn.training import (
     write_metrics_csv,
 )
 
+import oracles
+
 
 def _constant_target_dataset(n=3, n_u=2, count=800, shift=0.3, seed=0):
     rng = Rng(seed)
@@ -173,6 +175,61 @@ def test_train_frames_each_transition_once(monkeypatch, small_parking_dataset):
     monkeypatch.setattr(group, "_moving_frame", counted)
     train(model, ds, TrainConfig(updates=20, eval_every=10, batch_size=32, seed=1))
     assert sum(rows) == len(ds)
+
+
+def _run_both(make_model, ds, cfg):
+    """(train's outcome, the oracle's outcome): each the records, or the
+    divergence message and its records, and the final parameter bytes."""
+    outcomes = []
+    for fit in (train, oracles.train_per_update):
+        model = make_model()
+        try:
+            result = fit(model, ds, cfg)
+        except TrainingDivergedError as e:
+            result = (str(e), e.metrics)
+        outcomes.append((result, model.regressor.flat_params.tobytes()))
+    return outcomes
+
+
+def _record_bits(records):
+    return [(r.update_index, r.train_mse.hex(), r.test_mse.hex()) for r in records]
+
+
+@pytest.mark.parametrize(
+    "env, method, activation, hidden, mode, updates, eval_every, batch_size", [
+        ("parking2", "sym", "relu", (16,), "delta", 250, 100, 32),
+        ("parking2", "base", "tanh", (8, 8, 8), "absolute", 1300, 600, 7),
+        ("reacher", "sym", "tanh", (16,), "absolute", 50, 100, 1),
+        ("parking2", "base", "relu", (8,), "delta", 300, 256, 1),
+        ("reacher", "sym", "relu", (8, 8, 8), "delta", 513, 257, 7),
+        ("reacher", "base", "tanh", (8, 8, 8), "delta", 600, 300, 256),
+    ])
+def test_train_matches_per_update_loop(env, method, activation, hidden, mode, updates,
+                                       eval_every, batch_size, small_parking_dataset,
+                                       small_reacher_dataset):
+    ds = small_parking_dataset if env == "parking2" else small_reacher_dataset
+
+    def make_model():
+        if method == "sym":
+            return build_symmetry_model(get_group(env), hidden, activation, seed=4, mode=mode)
+        return build_baseline_model(ds.n, ds.n_u, hidden, activation, seed=4, mode=mode)
+
+    cfg = TrainConfig(updates=updates, eval_every=eval_every, batch_size=batch_size, seed=2)
+    (records, params), (expected, expected_params) = _run_both(make_model, ds, cfg)
+    assert _record_bits(records) == _record_bits(expected)
+    assert [r.update_index for r in records][-1] == updates
+    assert params == expected_params
+
+
+def test_divergence_matches_per_update_loop():
+    ds = _constant_target_dataset(count=300, shift=5.0)
+    cfg = TrainConfig(learning_rate=1e200, updates=700, eval_every=300, batch_size=7, seed=1)
+    (got, params), (expected, expected_params) = _run_both(
+        lambda: build_baseline_model(3, 2, [8], seed=1), ds, cfg)
+    assert got[0] == expected[0]
+    assert got[0].startswith("non-finite batch loss at update")
+    assert _record_bits(got[1]) == _record_bits(expected[1])
+    assert params == expected_params
 
 
 def test_dimension_mismatch_between_model_and_dataset():
