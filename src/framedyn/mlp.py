@@ -129,13 +129,12 @@ class Mlp:
         inputs: list[np.ndarray] = []
         return self._propagate(arr, inputs), inputs
 
-    def backward(self, cache, grad_out) -> list[np.ndarray]:
-        """Gradients of a scalar loss w.r.t. every parameter.
+    def backward(self, cache, grad_out) -> None:
+        """Gradients of a scalar loss w.r.t. every parameter, written into
+        ``flat_grads`` (the layout of ``flat_params``).
 
         ``grad_out`` is the loss gradient w.r.t. the network output,
-        shape (batch, output_dim).  The gradients are written into
-        ``flat_grads``; returns views of it aligned with :meth:`parameters`,
-        overwritten by the next call.
+        shape (batch, output_dim); it is not modified.
         """
         grad = np.asarray(grad_out, dtype=np.float64)
         if grad.ndim == 1:
@@ -152,10 +151,6 @@ class Mlp:
             grad.sum(axis=0, out=self._grad_b[i])
             if i != 0:
                 grad = grad @ self.weights[i].T
-        return [g for pair in zip(self._grad_w, self._grad_b) for g in pair]
-
-    def parameters(self) -> list[np.ndarray]:
-        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     @property
     def param_count(self) -> int:

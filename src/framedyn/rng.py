@@ -27,6 +27,7 @@ numpy's own generator evolution.  The scheme, precisely:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -48,6 +49,13 @@ def mix64(z: int) -> int:
     return z
 
 
+@functools.lru_cache(maxsize=1024)
+def _tag_word(tag: str) -> int:
+    """First 8 bytes of the SHA-256 of ``tag``, little-endian.  Cached: the
+    package uses a few dozen distinct tags, some thousands of times a run."""
+    return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "little")
+
+
 def derive_seed(seed: int, *parts: int | str) -> int:
     """Derive a child seed from a parent seed and a sequence of tags.
 
@@ -57,7 +65,7 @@ def derive_seed(seed: int, *parts: int | str) -> int:
     s = mix64(seed & _MASK)
     for part in parts:
         if isinstance(part, str):
-            part = int.from_bytes(hashlib.sha256(part.encode()).digest()[:8], "little")
+            part = _tag_word(part)
         s = mix64(s ^ (part & _MASK))
     return s
 

@@ -12,7 +12,9 @@ Determinism contract: given the same dataset, model seed and config, the
 metric sequence is bit-identical (wall times excepted).  Three independent
 seeds drive the run: the regressor's init seed, the train/test split seed
 (derived from the dataset content hash and ``config.seed`` unless pinned via
-``config.split_seed``), and ``config.seed`` for batch sampling.
+``config.split_seed``), and ``config.seed`` for batch sampling.  Batch indices are drawn for a block of
+updates at a time, which consumes the batch stream in the same order as one
+draw per update, so the contract holds unchanged.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 MODEL_FORMAT_VERSION = 1
 METRICS_HEADER = "update,train_mse,test_mse,wall_time_s"
+# Batch indices are drawn for at most this many updates in one Rng call, so
+# the index block stays small whatever ``updates`` and ``eval_every`` are.
+_DRAW_UPDATES = 256
 
 
 class TrainingDivergedError(RuntimeError):
@@ -154,22 +159,33 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
             MetricRecord(update_index, train_mse, test_mse, time.perf_counter() - start)
         )
 
-    n_train = len(train_idx)
+    n_train, batch_size, eval_every = len(train_idx), config.batch_size, config.eval_every
+    batch_inputs = np.empty((batch_size, inputs.shape[1]))
+    batch_targets = np.empty((batch_size, targets.shape[1]))
+    update = 0
     # Overflow is caught by the finiteness checks, not reported as warnings.
     with np.errstate(all="ignore"):
         record(0)
-        for update in range(1, config.updates + 1):
-            j = batch_rng.integers(n_train, size=config.batch_size)
-            out, cache = regressor.forward_cached(inputs[j])
-            diff = out - targets[j]
-            loss = float(np.mean(diff * diff))
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite batch loss at update {update}", records
-                )
-            regressor.backward(cache, (2.0 / diff.size) * diff)
-            adam.step(regressor.flat_params, regressor.flat_grads)
-            if update % config.eval_every == 0 or update == config.updates:
+        while update < config.updates:
+            next_record = min(config.updates, (update // eval_every + 1) * eval_every)
+            block = min(_DRAW_UPDATES, next_record - update)
+            for j in batch_rng.integers(n_train, size=(block, batch_size)):
+                update += 1
+                inputs.take(j, axis=0, out=batch_inputs)
+                targets.take(j, axis=0, out=batch_targets)
+                out, cache = regressor.forward_cached(batch_inputs)
+                diff = np.subtract(out, batch_targets, out=out)
+                sq = np.multiply(diff, diff, out=batch_targets)
+                # np.mean's own reduction and division, so the same bits
+                loss = np.add.reduce(sq, axis=None) / sq.size
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite batch loss at update {update}", records
+                    )
+                diff *= 2.0 / diff.size
+                regressor.backward(cache, diff)
+                adam.step(regressor.flat_params, regressor.flat_grads)
+            if update == next_record:
                 record(update)
     return records
 
@@ -207,6 +223,15 @@ def build_baseline_model(
 
 
 # -- persistence ---------------------------------------------------------------
+
+
+# JSON types of model header fields: a description and a check.  bool is
+# not an int here, although Python makes it one.
+_HEADER_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    str: ("a string", lambda v: type(v) is str),
+    list: ("a list of integers", lambda v: type(v) is list and all(type(w) is int for w in v)),
+}
 
 
 def save_model(path, model, train_seed: Optional[int] = None) -> None:
@@ -262,45 +287,57 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
             )
         raw = f.read()
 
-    def field(name):
-        """Header value at a dotted ``name``; a typed error when absent."""
+    def field(name, json_type=int):
+        """Header value at a dotted ``name``; a typed error when absent or
+        not of ``json_type`` (a key of ``_HEADER_TYPES``)."""
         obj = header
         for key in name.split("."):
             if not isinstance(obj, dict) or key not in obj:
                 raise ModelFormatError(f"{path}: model header missing field '{name}'")
             obj = obj[key]
+        what, valid = _HEADER_TYPES[json_type]
+        if not valid(obj):
+            raise ModelFormatError(
+                f"{path}: model header field '{name}' must be {what}, got {obj!r}"
+            )
         return obj
 
-    count = int(field("param_count"))
+    kind = field("kind", str)
+    if kind not in ("symmetry", "baseline"):
+        raise ModelFormatError(
+            f"{path}: model header field 'kind' must be 'symmetry' or 'baseline', "
+            f"got {kind!r}"
+        )
+    count = field("param_count")
     if len(raw) != 8 * count:
         raise ModelFormatError(
             f"{path}: parameter block holds {len(raw)} bytes, expected {8 * count}"
         )
     params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    spec = MlpSpec(
-        input_dim=int(field("mlp.input_dim")), output_dim=int(field("mlp.output_dim")),
-        hidden_layers=tuple(field("mlp.hidden_layers")),
-        activation=field("mlp.activation"), seed=int(field("mlp.seed")),
-    )
-    regressor = Mlp(spec)  # zero parameters, replaced by the stored ones
-    regressor.load_flat_params(params)
+    mlp = {key: field(f"mlp.{key}", json_type) for key, json_type in (
+        ("input_dim", int), ("output_dim", int), ("hidden_layers", list),
+        ("activation", str), ("seed", int))}
+    try:
+        regressor = Mlp(MlpSpec(**mlp))  # zero parameters, replaced by the stored ones
+        regressor.load_flat_params(params)
+    except ValueError as e:
+        raise ModelFormatError(f"{path}: model header field 'mlp': {e}") from e
 
     expected_id = group.group_id if isinstance(group, TransformationGroup) else group
-    if field("kind") == "symmetry":
-        stored_id = field("group_id")
+    if kind == "symmetry":
+        stored_id = field("group_id", str)
         if expected_id is not None and expected_id != stored_id:
             raise ModelFormatError(
                 f"{path}: model was trained for group '{stored_id}', "
                 f"not '{expected_id}'"
             )
         grp = group if isinstance(group, TransformationGroup) else get_group(stored_id)
-        return SymmetryReducedModel(grp, regressor, mode=field("mode"))
+        return SymmetryReducedModel(grp, regressor, mode=field("mode", str))
     if expected_id is not None:
         raise ModelFormatError(
             f"{path}: baseline model carries no group, but '{expected_id}' was requested"
         )
-    return BaselineModel(int(field("n")), int(field("n_u")), regressor,
-                         mode=field("mode"))
+    return BaselineModel(field("n"), field("n_u"), regressor, mode=field("mode", str))
 
 
 # -- metrics files -------------------------------------------------------------

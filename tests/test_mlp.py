@@ -8,6 +8,20 @@ from framedyn.verify import check_gradient_exactness
 import oracles
 
 
+def _params(net):
+    """Weights and biases, layer by layer: the order of ``flat_params``."""
+    return [p for pair in zip(net.weights, net.biases) for p in pair]
+
+
+def _grads(net):
+    """Views of ``flat_grads`` shaped like :func:`_params`."""
+    views, offset = [], 0
+    for p in _params(net):
+        views.append(net.flat_grads[offset : offset + p.size].reshape(p.shape))
+        offset += p.size
+    return views
+
+
 def _reference_forward(net, x):
     # Independent evaluator: per-neuron dot products, no matrix algebra.
     h = list(np.asarray(x, dtype=float))
@@ -69,7 +83,8 @@ def test_linear_layer_weight_gradient_is_outer_product():
     x = np.array([[0.5, -1.0, 2.0]])
     g = np.array([[0.3, -0.7]])
     _, cache = net.forward_cached(x)
-    grads = net.backward(cache, g)
+    net.backward(cache, g)
+    grads = _grads(net)
     assert np.max(np.abs(grads[0] - np.outer(x[0], g[0]))) < 1e-15
     assert np.array_equal(grads[1], g[0])
 
@@ -77,8 +92,9 @@ def test_linear_layer_weight_gradient_is_outer_product():
 def test_zero_output_gradient_gives_zero_gradients():
     net = Mlp.from_spec(MlpSpec(input_dim=3, output_dim=2, hidden_layers=(4,)))
     _, cache = net.forward_cached(np.ones((5, 3)))
-    grads = net.backward(cache, np.zeros((5, 2)))
-    assert all(np.all(g == 0.0) for g in grads)
+    net.flat_grads[...] = 1.0  # every entry must be overwritten
+    net.backward(cache, np.zeros((5, 2)))
+    assert np.all(net.flat_grads == 0.0)
 
 
 def test_gradients_match_central_differences():
@@ -96,9 +112,12 @@ def test_gradcheck_skips_probes_across_relu_kinks(seed):
 
 def test_gradcheck_catches_corrupted_gradient(monkeypatch):
     backward = Mlp.backward
-    monkeypatch.setattr(
-        Mlp, "backward", lambda self, cache, g: [1.01 * gr for gr in backward(self, cache, g)]
-    )
+
+    def corrupted(self, cache, g):
+        backward(self, cache, g)
+        self.flat_grads *= 1.01
+
+    monkeypatch.setattr(Mlp, "backward", corrupted)
     results = check_gradient_exactness(seed=0)
     assert not any(r.passed for r in results)
 
@@ -127,18 +146,18 @@ def test_fused_adam_matches_per_parameter_loop(activation):
                    activation=activation, seed=4)
     fused_net, loop_net = Mlp.from_spec(spec), Mlp.from_spec(spec)
     fused = Adam(fused_net.flat_params, lr=1e-2)
-    loop = oracles.LoopAdam(loop_net.parameters(), lr=1e-2)
+    loop = oracles.LoopAdam(_params(loop_net), lr=1e-2)
     rng = Rng(8)
     for _ in range(50):
         x = rng.uniform(-1, 1, size=(32, 5))
         y = rng.uniform(-1, 1, size=(32, 3))
         for net in (fused_net, loop_net):
             out, cache = net.forward_cached(x)
-            grads = net.backward(cache, (2.0 / out.size) * (out - y))
+            net.backward(cache, (2.0 / out.size) * (out - y))
             if net is fused_net:
                 fused.step(net.flat_params, net.flat_grads)
             else:
-                loop.step(net.parameters(), grads)
+                loop.step(_params(net), _grads(net))
         assert fused_net.flat_params.tobytes() == loop_net.flat_params.tobytes()
     assert not np.array_equal(fused_net.flat_params, Mlp.from_spec(spec).flat_params)
 
@@ -146,10 +165,14 @@ def test_fused_adam_matches_per_parameter_loop(activation):
 def test_backward_writes_flat_gradient_views():
     net = Mlp.from_spec(MlpSpec(input_dim=3, output_dim=2, hidden_layers=(4, 5)))
     _, cache = net.forward_cached(Rng(2).uniform(-1, 1, size=(6, 3)))
-    grads = net.backward(cache, np.ones((6, 2)))
-    assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
-    assert all(np.shares_memory(g, net.flat_grads) for g in grads)
-    assert np.array_equal(np.concatenate([g.ravel() for g in grads]), net.flat_grads)
+    flat_grads = net.flat_grads
+    assert net.backward(cache, np.ones((6, 2))) is None
+    assert net.flat_grads is flat_grads and flat_grads.size == net.param_count
+    # Output layer: weight gradient a.T @ g, then the bias gradient g summed
+    # over the batch, at the end of the flat layout.
+    *_, grad_w, grad_b = _grads(net)
+    assert np.array_equal(grad_w, cache[-1].T @ np.ones((6, 2)))
+    assert np.array_equal(grad_b, np.full(2, 6.0))
 
 
 def test_init_is_deterministic_per_seed():
@@ -180,9 +203,9 @@ def test_load_flat_params_keeps_layer_views():
                                 activation="tanh", seed=11)).flatten_params()
     net.load_flat_params(new)
     assert not np.array_equal(net.forward(x), before)
-    for p in net.parameters():
+    for p in _params(net):
         assert np.shares_memory(p, net.flat_params)
-    assert np.array_equal(np.concatenate([p.ravel() for p in net.parameters()]), new)
+    assert np.array_equal(np.concatenate([p.ravel() for p in _params(net)]), new)
     net.flat_params[0] = 123.0
     assert net.weights[0][0, 0] == 123.0
 

@@ -348,6 +348,38 @@ class TestModelPersistence:
                            match=f"{re.escape(str(path))}.*missing field '{field}'"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value, named, message", [
+        ("mlp.hidden_layers", 5, "mlp.hidden_layers", "must be a list of integers"),
+        ("mlp.hidden_layers", [8, "x"], "mlp.hidden_layers", "must be a list of integers"),
+        ("mlp.input_dim", "x", "mlp.input_dim", "must be an integer"),
+        ("mlp.seed", True, "mlp.seed", "must be an integer"),
+        ("param_count", "many", "param_count", "must be an integer"),
+        ("kind", "teapot", "kind", "must be 'symmetry' or 'baseline'"),
+        ("kind", 3, "kind", "must be a string"),
+        ("group_id", None, "group_id", "must be a string"),
+        ("mode", 1, "mode", "must be a string"),
+        ("mlp.activation", "sigmoid", "mlp", "activation must be one of"),
+        ("mlp.hidden_layers", [0], "mlp", "widths must be positive"),
+        ("mlp.input_dim", 7, "mlp", "parameter vector has"),
+    ])
+    def test_wrong_header_field_rejected(self, tmp_path, parking_group, field, value,
+                                         named, message):
+        model = build_symmetry_model(parking_group, [8], seed=1)
+        path = tmp_path / "m.fdm"
+        save_model(path, model)
+        header, _, rest = path.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        *parents, key = field.split(".")
+        obj = doc
+        for name in parents:
+            obj = obj[name]
+        obj[key] = value
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + rest)
+        with pytest.raises(ModelFormatError,
+                           match=f"{re.escape(str(path))}: model header field "
+                                 f"'{re.escape(named)}'.*{re.escape(message)}"):
+            load_model(path)
+
     def test_list_header_rejected(self, tmp_path):
         path = tmp_path / "m.fdm"
         path.write_bytes(b'[1, 2, 3]\n')
