@@ -12,9 +12,10 @@ Determinism contract: given the same dataset, model seed and config, the
 metric sequence is bit-identical (wall times excepted).  Three independent
 seeds drive the run: the regressor's init seed, the train/test split seed
 (derived from the dataset content hash and ``config.seed`` unless pinned via
-``config.split_seed``), and ``config.seed`` for batch sampling.  Batch indices are drawn for a block of
-updates at a time, which consumes the batch stream in the same order as one
-draw per update, so the contract holds unchanged.
+``config.split_seed``), and ``config.seed`` for batch sampling.  Batch
+indices are drawn for a block of updates at a time, which consumes the batch
+stream in the same order as one draw per update, so the contract holds
+unchanged.
 """
 
 from __future__ import annotations
@@ -225,15 +226,6 @@ def build_baseline_model(
 # -- persistence ---------------------------------------------------------------
 
 
-# JSON types of model header fields: a description and a check.  bool is
-# not an int here, although Python makes it one.
-_HEADER_TYPES = {
-    int: ("an integer", lambda v: type(v) is int),
-    str: ("a string", lambda v: type(v) is str),
-    list: ("a list of integers", lambda v: type(v) is list and all(type(w) is int for w in v)),
-}
-
-
 def save_model(path, model, train_seed: Optional[int] = None) -> None:
     """Write a model file: one JSON header line, then the parameters as a
     raw little-endian float64 block (weights then bias, layer by layer)."""
@@ -289,14 +281,16 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
 
     def field(name, json_type=int):
         """Header value at a dotted ``name``; a typed error when absent or
-        not of ``json_type`` (a key of ``_HEADER_TYPES``)."""
+        not of ``json_type``: int (never bool), str, or list of ints."""
         obj = header
         for key in name.split("."):
             if not isinstance(obj, dict) or key not in obj:
                 raise ModelFormatError(f"{path}: model header missing field '{name}'")
             obj = obj[key]
-        what, valid = _HEADER_TYPES[json_type]
-        if not valid(obj):
+        if type(obj) is not json_type or (
+            json_type is list and not all(type(v) is int for v in obj)
+        ):
+            what = {int: "an integer", str: "a string", list: "a list of integers"}[json_type]
             raise ModelFormatError(
                 f"{path}: model header field '{name}' must be {what}, got {obj!r}"
             )

@@ -331,19 +331,25 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
-    @pytest.mark.parametrize("field", ["param_count", "kind", "mlp.activation"])
-    def test_missing_header_field_rejected(self, tmp_path, parking_group, field):
-        model = build_symmetry_model(parking_group, [8], seed=1)
+    @staticmethod
+    def _saved_with_header_edit(tmp_path, group, field, edit):
+        """A saved symmetry model file whose header ``field`` (dotted) went
+        through ``edit(parent_dict, key)``."""
         path = tmp_path / "m.fdm"
-        save_model(path, model)
+        save_model(path, build_symmetry_model(group, [8], seed=1))
         header, _, rest = path.read_bytes().partition(b"\n")
         doc = json.loads(header)
         *parents, key = field.split(".")
         obj = doc
         for name in parents:
             obj = obj[name]
-        del obj[key]
+        edit(obj, key)
         path.write_bytes(json.dumps(doc).encode() + b"\n" + rest)
+        return path
+
+    @pytest.mark.parametrize("field", ["param_count", "kind", "mlp.activation"])
+    def test_missing_header_field_rejected(self, tmp_path, parking_group, field):
+        path = self._saved_with_header_edit(tmp_path, parking_group, field, dict.pop)
         with pytest.raises(ModelFormatError,
                            match=f"{re.escape(str(path))}.*missing field '{field}'"):
             load_model(path)
@@ -364,17 +370,8 @@ class TestModelPersistence:
     ])
     def test_wrong_header_field_rejected(self, tmp_path, parking_group, field, value,
                                          named, message):
-        model = build_symmetry_model(parking_group, [8], seed=1)
-        path = tmp_path / "m.fdm"
-        save_model(path, model)
-        header, _, rest = path.read_bytes().partition(b"\n")
-        doc = json.loads(header)
-        *parents, key = field.split(".")
-        obj = doc
-        for name in parents:
-            obj = obj[name]
-        obj[key] = value
-        path.write_bytes(json.dumps(doc).encode() + b"\n" + rest)
+        path = self._saved_with_header_edit(
+            tmp_path, parking_group, field, lambda obj, key: obj.__setitem__(key, value))
         with pytest.raises(ModelFormatError,
                            match=f"{re.escape(str(path))}: model header field "
                                  f"'{re.escape(named)}'.*{re.escape(message)}"):
