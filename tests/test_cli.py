@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framedyn.cli import load_config, main
+from framedyn.cli import build_parser, load_config, main
 from framedyn.dataset import read_jsonl
 from framedyn.training import read_metrics_csv
 
@@ -302,6 +303,42 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: samples must be at least 1, got {samples}\n"
+
+
+# Every option string of every subcommand, sorted.
+OPTION_SURFACE = {
+    "gen-data": ["--config", "--env", "--episodes", "--help", "--horizon", "--out",
+                 "--policy", "--seed", "-h", "-o"],
+    "train": ["--activation", "--batch-size", "--config", "--data", "--eval-every",
+              "--group", "--help", "--hidden", "--lr", "--mode", "--out-metrics",
+              "--out-model", "--seed", "--split-seed", "--symmetry", "--test-fraction",
+              "--updates", "-h"],
+    "compare": ["--activation", "--archs", "--batch-size", "--config", "--data",
+                "--eval-every", "--group", "--help", "--hidden-size", "--lr", "--mode",
+                "--out-dir", "--runs", "--seed", "--test-fraction", "--updates",
+                "--workers", "-h"],
+    "verify": ["--all", "--config", "--group", "--help", "--samples", "--seed", "--suite",
+               "-h"],
+}
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_option_surface_is_pinned():
+    got = {name: sorted(p._option_string_actions)
+           for name, p in _subparsers(build_parser()).items()}
+    assert got == OPTION_SURFACE
+
+
+def test_suite_choices_are_pinned():
+    (suite,) = [a for a in _subparsers(build_parser())["verify"]._actions
+                if "--suite" in a.option_strings]
+    assert suite.choices == [
+        "all", "axioms", "frame", "frame-equivariance", "gradcheck", "lemma1",
+        "model-invariance", "reduce-invariance", "roundtrip", "sim", "theorem1"]
 
 
 class TestConfigFile:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from framedyn.builtin import get_group
+from framedyn.cli import main
 from framedyn.dataset import read_jsonl, write_jsonl
 from framedyn.rng import Rng, derive_seed
 from framedyn.sim import generate_dataset
@@ -212,6 +213,21 @@ GOLDEN_RNG_CHUNK_DIGESTS = {
 }
 
 
+# compare on a parking2 6x10 file (seed 1), archs 1,2 at width 8, 40 updates
+# evaluated every 20: case -> (extra flags, sha256 prefixes of summary.csv,
+# curves.csv and report.md).  At lr 1e60 both runs of the 2-layer symmetry
+# cell diverge (a NaN summary row and the "Diverged runs" line); at 1e120 all
+# but one run diverge, so one cell aggregates a single finished run.
+GOLDEN_COMPARE_DIGESTS = {
+    "converging": (["--runs", "3"],
+                   ("65c501142a94f31c", "3e9a2f55e5fc349a", "2efac89900d8781e")),
+    "one-cell-diverges": (["--runs", "2", "--lr", "1e60"],
+                          ("64a02e84a80a71b9", "0f6ebd57ae97f34f", "1a151b8b009a49d3")),
+    "partly-diverges": (["--runs", "2", "--lr", "1e120"],
+                        ("9285881131bd94ea", "15b2fbc22779851e", "8350fdf61728f501")),
+}
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN_DATASET_HASHES), ids=lambda k: "-".join(map(str, k)))
 def test_dataset_content_hash_is_golden(key):
     env_id, policy, episodes, horizon, seed = key
@@ -302,3 +318,18 @@ def test_rng_chunk_sequence_is_golden(key):
     rng = Rng(seed)
     got = np.concatenate([rng.next_u64(c) for c in RNG_CHUNKS[chunks]])
     assert _digest(got) == GOLDEN_RNG_CHUNK_DIGESTS[key]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_COMPARE_DIGESTS))
+def test_compare_reports_are_golden(case, tmp_path):
+    flags, want = GOLDEN_COMPARE_DIGESTS[case]
+    data = tmp_path / "d.jsonl"
+    assert main(["gen-data", "--env", "parking2", "--episodes", "6", "--horizon", "10",
+                 "--seed", "1", "-o", str(data)]) == 0
+    out = tmp_path / "cmp"
+    assert main(["compare", "--data", str(data), "--archs", "1,2", "--hidden-size", "8",
+                 "--updates", "40", "--eval-every", "20", *flags,
+                 "--out-dir", str(out)]) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+                for name in ("summary.csv", "curves.csv", "report.md"))
+    assert got == want
