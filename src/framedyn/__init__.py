@@ -26,7 +26,7 @@ from .groups import (
     wrap_angle,
 )
 from .mlp import Adam, Mlp, MlpSpec
-from .models import BaselineModel, ReducedSample, SymmetryReducedModel
+from .models import BaselineModel, SymmetryReducedModel
 from .rng import Rng, derive_seed, mix64
 from .sim import ENVS, car_step, generate_dataset, get_env, parking_step, reacher_step
 from .training import (
@@ -63,7 +63,6 @@ __all__ = [
     # models
     "SymmetryReducedModel",
     "BaselineModel",
-    "ReducedSample",
     # learner
     "Mlp",
     "MlpSpec",

@@ -22,6 +22,8 @@ from pathlib import Path
 
 from .builtin import get_group
 from .dataset import DatasetFormatError, read_jsonl, write_jsonl
+from .mlp import ACTIVATIONS
+from .models import MODES
 from .rng import derive_seed
 from .sim import ENVS, POLICIES, generate_dataset, get_env
 from .training import (
@@ -37,7 +39,7 @@ from .training import (
     train,
     write_metrics_csv,
 )
-from .verify import DEFAULT_GROUP_IDS, SUITE_ALIASES, format_results, run_suites
+from .verify import DEFAULT_GROUP_IDS, SUITE_ALIASES, SUITES, format_results, run_suites
 
 
 def load_config(path) -> dict:
@@ -71,15 +73,9 @@ class _Resolver:
         return default
 
 
-def _parse_hidden(text) -> tuple[int, ...]:
-    widths = tuple(int(w) for w in str(text).split(",") if w.strip())
-    if not widths:
-        raise ValueError(f"cannot parse hidden layer widths from {text!r}")
-    return widths
-
-
-def _parse_int_list(text) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(text).split(",") if v.strip())
+def _parse_list(text, item=int) -> tuple:
+    """Comma-separated items; spaces around an item and empty items are ignored."""
+    return tuple(item(v.strip()) for v in text.split(",") if v.strip())
 
 
 # -- gen-data ------------------------------------------------------------------
@@ -113,7 +109,7 @@ def cmd_gen_data(args) -> int:
 def _env_defaults(dataset) -> tuple[int, int]:
     """Default update count and hidden width for the dataset's environment."""
     env = ENVS.get(dataset.env_id)
-    return (env.default_updates, env.default_hidden) if env else (10000, 64)
+    return (env.default_updates, env.default_hidden) if env else (TrainConfig.updates, 64)
 
 
 def _effective_train_settings(r, dataset):
@@ -126,16 +122,18 @@ def _effective_train_settings(r, dataset):
         "symmetry": symmetry == "on",
         "group_id": r.get("group", dataset.env_id),
         "mode": r.get("mode", "delta"),
-        "hidden": r.get("hidden", (default_hidden,), _parse_hidden),
+        "hidden": r.get("hidden", (default_hidden,), _parse_list),
         "activation": r.get("activation", "relu"),
-        "lr": r.get("lr", 1e-3, float),
-        "batch_size": r.get("batch_size", 256, int),
+        "lr": r.get("lr", TrainConfig.learning_rate, float),
+        "batch_size": r.get("batch_size", TrainConfig.batch_size, int),
         "updates": r.get("updates", default_updates, int),
-        "eval_every": r.get("eval_every", 250, int),
-        "test_fraction": r.get("test_fraction", 0.1, float),
-        "seed": r.get("seed", 0, int),
+        "eval_every": r.get("eval_every", TrainConfig.eval_every, int),
+        "test_fraction": r.get("test_fraction", TrainConfig.test_fraction, float),
+        "seed": r.get("seed", TrainConfig.seed, int),
         "split_seed": r.get("split_seed", None, int),
     }
+    if not s["hidden"]:
+        raise ValueError("--hidden must list at least one layer width")
     return s, TrainConfig(
         learning_rate=s["lr"], batch_size=s["batch_size"], updates=s["updates"],
         eval_every=s["eval_every"], test_fraction=s["test_fraction"],
@@ -218,7 +216,7 @@ def cmd_compare(args) -> int:
         raise ValueError("--data and --out-dir are required")
     dataset = read_jsonl(data_path)
     s, config = _effective_train_settings(r, dataset)
-    archs = r.get("archs", (1, 2, 3), _parse_int_list)
+    archs = r.get("archs", (1, 2, 3), _parse_list)
     width = r.get("hidden_size", _env_defaults(dataset)[1], int)
     runs = r.get("runs", 4, int)
     workers = r.get("workers", 1, int)
@@ -277,42 +275,30 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation; (nan, 0) for no values, std 0 for one."""
+    if not values:
+        return float("nan"), 0.0
+    return statistics.fmean(values), statistics.stdev(values) if len(values) > 1 else 0.0
+
+
 def _write_compare_reports(out, dataset, s, archs, width, runs, results, diverged):
-    def finished(layers, symmetry):
-        rec = []
-        for run in range(runs):
-            records, bad = results[(layers, symmetry, s["seed"] + run)]
-            if not bad and records:
-                rec.append(records)
-        return rec
-
-    with open(out / "curves.csv", "w") as f:
-        f.write("arch,symmetry,update,test_mse_mean,test_mse_std\n")
-        for layers in archs:
-            for symmetry in (True, False):
-                runs_records = finished(layers, symmetry)
-                if not runs_records:
-                    continue
-                length = min(len(rr) for rr in runs_records)
-                for i in range(length):
-                    vals = [rr[i].test_mse for rr in runs_records]
-                    mean = statistics.fmean(vals)
-                    std = statistics.stdev(vals) if len(vals) > 1 else 0.0
-                    f.write(
-                        f"{layers},{'on' if symmetry else 'off'},"
-                        f"{runs_records[0][i].update_index},{mean:.17g},{std:.17g}\n"
-                    )
-
-    summary_rows = []
+    curves, summary_rows = [], []
     for layers in archs:
         for symmetry in (True, False):
-            runs_records = finished(layers, symmetry)
-            finals = [rr[-1].test_mse for rr in runs_records]
-            mean = statistics.fmean(finals) if finals else float("nan")
-            std = statistics.stdev(finals) if len(finals) > 1 else 0.0
+            sym = "on" if symmetry else "off"
+            cell = [results[(layers, symmetry, s["seed"] + run)] for run in range(runs)]
+            finished = [records for records, bad in cell if not bad and records]
+            for i in range(min((len(rr) for rr in finished), default=0)):
+                mean, std = _mean_std([rr[i].test_mse for rr in finished])
+                curves.append(f"{layers},{sym},{finished[0][i].update_index},"
+                              f"{mean:.17g},{std:.17g}\n")
             summary_rows.append(
-                (layers, "on" if symmetry else "off", mean, std, len(finals))
+                (layers, sym, *_mean_std([rr[-1].test_mse for rr in finished]), len(finished))
             )
+    with open(out / "curves.csv", "w") as f:
+        f.write("arch,symmetry,update,test_mse_mean,test_mse_std\n")
+        f.writelines(curves)
     with open(out / "summary.csv", "w") as f:
         f.write("arch,symmetry,final_test_mse_mean,final_test_mse_std\n")
         for layers, sym, mean, std, _ in summary_rows:
@@ -347,7 +333,9 @@ def cmd_verify(args) -> int:
     seed = r.get("seed", 0, int)
     samples = r.get("samples", 1000, int)
     group_arg = r.get("group")
-    group_ids = tuple(group_arg.split(",")) if group_arg else DEFAULT_GROUP_IDS
+    group_ids = _parse_list(group_arg, str) if group_arg else DEFAULT_GROUP_IDS
+    if not group_ids:
+        raise ValueError("--group must list at least one group id")
     results = run_suites(suite=suite, group_ids=group_ids, seed=seed, samples=samples)
     print(format_results(results))
     ok = all(res.passed for res in results)
@@ -364,70 +352,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn group-invariant dynamics models on canonical coordinates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by subcommands, each declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--config")
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--data")
+    fitting.add_argument("--group")
+    fitting.add_argument("--mode", choices=MODES)
+    fitting.add_argument("--activation", choices=ACTIVATIONS)
+    fitting.add_argument("--lr", type=float)
+    fitting.add_argument("--batch-size", type=int)
+    fitting.add_argument("--updates", type=int)
+    fitting.add_argument("--eval-every", type=int)
+    fitting.add_argument("--test-fraction", type=float)
 
-    p = sub.add_parser("gen-data", help="simulate an environment and store transitions")
+    p = sub.add_parser("gen-data", parents=[common],
+                       help="simulate an environment and store transitions")
     p.add_argument("--env", choices=sorted(ENVS))
     p.add_argument("--episodes", type=int)
     p.add_argument("--horizon", type=int)
     p.add_argument("--policy", choices=POLICIES)
-    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train one dynamics model")
-    p.add_argument("--data")
+    p = sub.add_parser("train", parents=[common, fitting], help="train one dynamics model")
     p.add_argument("--symmetry", choices=("on", "off"))
-    p.add_argument("--group")
-    p.add_argument("--mode", choices=("delta", "absolute"))
-    p.add_argument("--hidden", type=_parse_hidden,
+    p.add_argument("--hidden", type=_parse_list,
                    help="comma-separated hidden widths, e.g. 128 or 128,128")
-    p.add_argument("--activation", choices=("relu", "tanh"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--updates", type=int)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--test-fraction", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--split-seed", type=int)
     p.add_argument("--out-model")
     p.add_argument("--out-metrics")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("compare", help="architecture grid with and without symmetry")
-    p.add_argument("--data")
-    p.add_argument("--group")
-    p.add_argument("--mode", choices=("delta", "absolute"))
-    p.add_argument("--archs", type=_parse_int_list,
+    p = sub.add_parser("compare", parents=[common, fitting],
+                       help="architecture grid with and without symmetry")
+    p.add_argument("--archs", type=_parse_list,
                    help="comma-separated hidden layer counts, default 1,2,3")
     p.add_argument("--hidden-size", type=int)
-    p.add_argument("--activation", choices=("relu", "tanh"))
     p.add_argument("--runs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--updates", type=int)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--test-fraction", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--out-dir")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_compare)
 
-    suite_names = sorted(
-        {"all", "axioms", "frame", "reduce-invariance", "frame-equivariance",
-         "roundtrip", "model-invariance", "sim", "gradcheck", *SUITE_ALIASES}
-    )
-    p = sub.add_parser("verify", help="run the invariance suites")
+    p = sub.add_parser("verify", parents=[common], help="run the invariance suites")
     which = p.add_mutually_exclusive_group()
     which.add_argument("--all", action="store_true",
                        help="run every suite (default; overrides a config-file suite)")
-    which.add_argument("--suite", choices=suite_names)
+    which.add_argument("--suite", choices=sorted({"all", *SUITES, *SUITE_ALIASES}))
     p.add_argument("--group", help="comma-separated group ids to check")
-    p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -25,27 +25,11 @@ of a learned model can drift off the state manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .groups import TransformationGroup
 
 MODES = ("delta", "absolute")
-
-
-@dataclass
-class ReducedSample:
-    """Regression pair in canonical coordinates.
-
-    ``inputs`` is the concatenation of the reduced state and the
-    frame-transformed control; ``targets`` is the framed next state
-    (absolute mode) or the framed state difference (delta mode).  Leading
-    batch axes are allowed.
-    """
-
-    inputs: np.ndarray
-    targets: np.ndarray
 
 
 def _check_mode(mode: str) -> str:
@@ -77,6 +61,7 @@ class SymmetryReducedModel:
 
     def __init__(self, group: TransformationGroup, regressor, mode: str = "delta"):
         self.group = group
+        self.n, self.n_u = group.n, group.n_u
         self.regressor = regressor
         self.mode = _check_mode(mode)
         self.input_dim = group.b_dim + group.n_u
@@ -126,14 +111,16 @@ class SymmetryReducedModel:
         inputs, context, _ = self._encode(x, u)
         return self._decode(context, self.regressor(inputs))
 
-    def training_target(self, x, u, x_next) -> ReducedSample:
-        """Map transitions to canonical regression pairs.
+    def training_target(self, x, u, x_next) -> tuple[np.ndarray, np.ndarray]:
+        """Map transitions to canonical regression pairs ``(inputs, targets)``:
+        the reduced state and framed control, then the framed next state
+        (absolute mode) or framed state difference (delta mode).
 
         The pair is frame-independent: transitions that differ only by a
         group element map to the same (inputs, targets).
         """
         inputs, _, targets = self._encode(x, u, x_next)
-        return ReducedSample(inputs=inputs, targets=targets)
+        return inputs, targets
 
 
 class BaselineModel:
@@ -177,6 +164,6 @@ class BaselineModel:
         inputs, xv, _ = self._encode(x, u)
         return self._decode(xv, self.regressor(inputs))
 
-    def training_target(self, x, u, x_next) -> ReducedSample:
+    def training_target(self, x, u, x_next) -> tuple[np.ndarray, np.ndarray]:
         inputs, _, targets = self._encode(x, u, x_next)
-        return ReducedSample(inputs=inputs, targets=targets)
+        return inputs, targets

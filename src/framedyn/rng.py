@@ -95,8 +95,11 @@ def _xorshift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unit(values: np.ndarray) -> np.ndarray:
-    """64-bit values to doubles in [0, 1)."""
-    return (values >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """64-bit values to doubles in [0, 1); shifts ``values`` in place."""
+    values >>= np.uint64(11)
+    out = values.astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
 def uniform_rows(seeds, count: int) -> np.ndarray:
@@ -144,26 +147,34 @@ class Rng:
             filled += take
         return out
 
-    def _draw(self, size, transform):
-        # ``transform`` of doubles in [0, 1) from the next 64-bit values:
-        # a Python scalar when ``size`` is None, else an array of shape ``size``.
+    def _draw(self, size, scale, offset=0.0, integer=False):
+        # ``u * scale + offset`` for doubles ``u`` in [0, 1) from the next
+        # 64-bit values, or ``floor(u * scale)`` as int64 when ``integer``,
+        # computed in place: a Python scalar when ``size`` is None, else an
+        # array of shape ``size``.
         count = 1 if size is None else int(np.prod(size))
-        vals = transform(_unit(self.next_u64(count)))
+        vals = _unit(self.next_u64(count))
+        vals *= scale
+        if integer:
+            vals = np.floor(vals, out=vals).astype(np.int64)
+        else:
+            vals += offset
         return vals[0].item() if size is None else vals.reshape(size)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         """Uniform doubles in [low, high); scalar when ``size`` is None."""
-        return self._draw(size, lambda u: low + u * (high - low))
+        return self._draw(size, high - low, low)
 
     def integers(self, n: int, size=None):
         """Uniform integers in [0, n); scalar when ``size`` is None."""
         if not 0 < n < 2**53:
             raise ValueError(f"integers() requires 0 < n < 2**53, got {n}")
-        return self._draw(size, lambda u: np.floor(u * n).astype(np.int64))
+        return self._draw(size, n, integer=True)
 
     def angles(self, size=None):
         """Uniform angles in (-pi, pi]."""
-        return self._draw(size, lambda u: np.pi - u * (2.0 * np.pi))
+        # u * -2pi is exactly -(u * 2pi), so this is pi - u * 2pi bit for bit
+        return self._draw(size, -2.0 * np.pi, np.pi)
 
     def permutation(self, n: int) -> np.ndarray:
         """Random permutation of range(n) via 64-bit sort keys."""

@@ -31,7 +31,7 @@ from .builtin import get_group
 from .dataset import TransitionDataset
 from .groups import TransformationGroup
 from .mlp import Adam, Mlp, MlpSpec
-from .models import BaselineModel, SymmetryReducedModel
+from .models import MODES, BaselineModel, SymmetryReducedModel
 from .rng import Rng, derive_seed
 
 ADAM_BETAS = (0.9, 0.999)
@@ -93,15 +93,11 @@ def train_test_split(count: int, test_fraction: float, split_seed: int):
 
 def check_model_dataset(model, dataset: TransitionDataset):
     """Reject a model whose state and control sizes differ from the dataset's."""
-    if isinstance(model, SymmetryReducedModel):
-        n, n_u = model.group.n, model.group.n_u
-        what = f"group '{model.group.group_id}'"
-    else:
-        n, n_u = model.n, model.n_u
-        what = "baseline model"
-    if (n, n_u) != (dataset.n, dataset.n_u):
+    if (model.n, model.n_u) != (dataset.n, dataset.n_u):
+        group = getattr(model, "group", None)
+        what = f"group '{group.group_id}'" if group else "baseline model"
         raise ValueError(
-            f"{what} expects n={n}, n_u={n_u} but dataset '{dataset.env_id}' "
+            f"{what} expects n={model.n}, n_u={model.n_u} but dataset '{dataset.env_id}' "
             f"has n={dataset.n}, n_u={dataset.n_u}"
         )
 
@@ -233,14 +229,13 @@ def save_model(path, model, train_seed: Optional[int] = None) -> None:
     if not isinstance(regressor, Mlp):
         raise ModelFormatError("only Mlp-backed models can be serialized")
     spec = regressor.spec
+    symmetric = isinstance(model, SymmetryReducedModel)
     header = {
         "format_version": MODEL_FORMAT_VERSION,
-        "kind": "symmetry" if isinstance(model, SymmetryReducedModel) else "baseline",
-        "group_id": model.group.group_id if isinstance(model, SymmetryReducedModel) else None,
-        "n": model.output_dim,
-        "n_u": model.input_dim - model.output_dim
-        if isinstance(model, BaselineModel)
-        else model.group.n_u,
+        "kind": "symmetry" if symmetric else "baseline",
+        "group_id": model.group.group_id if symmetric else None,
+        "n": model.n,
+        "n_u": model.n_u,
         "mode": model.mode,
         "mlp": {
             "input_dim": spec.input_dim,
@@ -317,6 +312,11 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
     except ValueError as e:
         raise ModelFormatError(f"{path}: model header field 'mlp': {e}") from e
 
+    mode = field("mode", str)
+    if mode not in MODES:
+        raise ModelFormatError(
+            f"{path}: model header field 'mode' must be one of {MODES}, got {mode!r}"
+        )
     expected_id = group.group_id if isinstance(group, TransformationGroup) else group
     if kind == "symmetry":
         stored_id = field("group_id", str)
@@ -325,13 +325,16 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
                 f"{path}: model was trained for group '{stored_id}', "
                 f"not '{expected_id}'"
             )
-        grp = group if isinstance(group, TransformationGroup) else get_group(stored_id)
-        return SymmetryReducedModel(grp, regressor, mode=field("mode", str))
+        try:  # an unknown id, or a group whose sizes do not fit the regressor
+            grp = group if isinstance(group, TransformationGroup) else get_group(stored_id)
+            return SymmetryReducedModel(grp, regressor, mode=mode)
+        except ValueError as e:
+            raise ModelFormatError(f"{path}: model header field 'group_id': {e}") from e
     if expected_id is not None:
         raise ModelFormatError(
             f"{path}: baseline model carries no group, but '{expected_id}' was requested"
         )
-    return BaselineModel(field("n"), field("n_u"), regressor, mode=field("mode", str))
+    return BaselineModel(field("n"), field("n_u"), regressor, mode=mode)
 
 
 # -- metrics files -------------------------------------------------------------

@@ -4,9 +4,8 @@ Each suite draws a reproducible sample set, measures a worst-case error, and
 compares it against a documented tolerance.  The CLI ``verify`` command runs
 them as a release gate; the test suite reuses them at the same tolerances.
 
-Suite ids (aliases in parentheses): ``axioms``, ``frame``,
-``reduce-invariance`` (``lemma1``), ``frame-equivariance``, ``roundtrip``,
-``model-invariance`` (``theorem1``), ``sim``, ``gradcheck``.
+Suite ids are ``SUITES``; ``run_suites`` also takes ``all`` and the aliases
+of ``SUITE_ALIASES`` (``lemma1``, ``theorem1``).
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ TOL_GRADCHECK = 1e-5
 DEFAULT_GROUP_IDS = ("se2car", "const:6", "parking2", "reacher")
 MODEL_GROUP_IDS = ("se2car", "parking2", "reacher")
 LAYER_COUNTS = (1, 2, 3)  # hidden-layer counts the model and gradient suites cover
+SUITES = ("axioms", "frame", "reduce-invariance", "frame-equivariance", "roundtrip",
+          "model-invariance", "sim", "gradcheck")
 SUITE_ALIASES = {"lemma1": "reduce-invariance", "theorem1": "model-invariance"}
 
 
@@ -236,6 +237,8 @@ def run_suites(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     suite = SUITE_ALIASES.get(suite, suite)
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite '{suite}'")
     groups = [get_group(gid) for gid in group_ids]
     results: list[SuiteResult] = []
 
@@ -261,7 +264,8 @@ def run_suites(
     if want("gradcheck"):
         results.extend(check_gradient_exactness(seed, probes=100))
     if not results:
-        raise ValueError(f"unknown suite '{suite}'")
+        raise ValueError(f"suite '{suite}' covers none of the chosen groups "
+                         f"({', '.join(group_ids)})")
     return results
 
 

@@ -126,6 +126,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == f"error: {data}: line 3: not valid UTF-8 (byte 0xff)\n"
 
+    @pytest.mark.parametrize("hidden", ["", ","])
+    def test_empty_hidden_list_fails_before_any_output(self, dataset_path, tmp_path,
+                                                       capsys, hidden):
+        assert run(["train", "--data", str(dataset_path), "--hidden", hidden,
+                    "--out-model", str(tmp_path / "x.fdm"),
+                    "--out-metrics", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --hidden must list at least one layer width\n"
+
     def test_missing_data_flag(self, capsys):
         assert run(["train"]) == 1
         assert "--data is required" in capsys.readouterr().err
@@ -296,6 +306,25 @@ class TestVerify:
         assert run(["verify", "--all", "--config", str(cfg)]) == 0
         suites = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:-1]]
         assert {"axioms", "frame", "model-invariance", "sim", "gradcheck"} <= set(suites)
+
+    def test_suite_covering_no_chosen_group_names_the_groups(self, capsys):
+        assert run(["verify", "--suite", "model-invariance", "--group", "const:6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: suite 'model-invariance' covers none of the "
+                                "chosen groups (const:6)\n")
+
+    def test_group_list_accepts_spaces(self, capsys):
+        assert run(["verify", "--suite", "axioms", "--group", "se2car, reacher",
+                    "--samples", "20"]) == 0
+        subjects = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:-1]]
+        assert subjects == ["se2car", "reacher"]
+
+    def test_empty_group_list_is_one_line_error(self, capsys):
+        assert run(["verify", "--group", " , "]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --group must list at least one group id\n"
 
     @pytest.mark.parametrize("samples", ["0", "-2"])
     def test_samples_below_one_is_one_line_error(self, capsys, samples):

@@ -95,9 +95,9 @@ def test_training_target_on_cross_section_is_plain_pair(parking_group):
     u = np.array([0.5, -0.1])
     x_next = np.array([0.08, -0.03, 0.85, -0.25, 0.995, 0.1])
     model = SymmetryReducedModel(group, lambda z: z, mode="absolute")
-    sample = model.training_target(x, u, x_next)
-    assert np.allclose(sample.inputs, [0.8, -0.3, 0.5, -0.1], atol=1e-15)
-    assert np.max(np.abs(sample.targets - x_next)) < 1e-12
+    inputs, targets = model.training_target(x, u, x_next)
+    assert np.allclose(inputs, [0.8, -0.3, 0.5, -0.1], atol=1e-15)
+    assert np.max(np.abs(targets - x_next)) < 1e-12
 
 
 def test_training_target_shapes(parking_group, reacher_group,
@@ -107,9 +107,9 @@ def test_training_target_shapes(parking_group, reacher_group,
         (reacher_group, small_reacher_dataset, 8, 11),
     ]:
         model = _random_model(group, "delta")
-        sample = model.training_target(ds.x, ds.u, ds.x_next)
-        assert sample.inputs.shape == (len(ds), d_in)
-        assert sample.targets.shape == (len(ds), d_out)
+        inputs, targets = model.training_target(ds.x, ds.u, ds.x_next)
+        assert inputs.shape == (len(ds), d_in)
+        assert targets.shape == (len(ds), d_out)
 
 
 def test_reduced_sample_is_frame_independent(parking_group, small_parking_dataset):
@@ -118,19 +118,19 @@ def test_reduced_sample_is_frame_independent(parking_group, small_parking_datase
     g = parking_group.random_element(rng, size=len(ds))
     for mode in ("delta", "absolute"):
         model = _random_model(parking_group, mode)
-        orig = model.training_target(ds.x, ds.u, ds.x_next)
-        moved = model.training_target(
+        orig_inputs, orig_targets = model.training_target(ds.x, ds.u, ds.x_next)
+        moved_inputs, moved_targets = model.training_target(
             parking_group.act_state(g, ds.x),
             parking_group.act_control(g, ds.u),
             parking_group.act_state(g, ds.x_next),
         )
-        assert np.max(np.abs(orig.inputs - moved.inputs)) < 1e-9
-        assert np.max(np.abs(orig.targets - moved.targets)) < 1e-9
+        assert np.max(np.abs(orig_inputs - moved_inputs)) < 1e-9
+        assert np.max(np.abs(orig_targets - moved_targets)) < 1e-9
         # so the regression loss of any regressor matches on both
-        pred_o = model.regressor(orig.inputs)
-        pred_m = model.regressor(moved.inputs)
-        loss_o = np.mean((pred_o - orig.targets) ** 2)
-        loss_m = np.mean((pred_m - moved.targets) ** 2)
+        pred_o = model.regressor(orig_inputs)
+        pred_m = model.regressor(moved_inputs)
+        loss_o = np.mean((pred_o - orig_targets) ** 2)
+        loss_m = np.mean((pred_m - moved_targets) ** 2)
         assert abs(loss_o - loss_m) < 1e-9
 
 
@@ -180,4 +180,5 @@ def test_mismatched_next_state_is_rejected(kind, parking_group, small_parking_da
         model = build_baseline_model(ds.n, ds.n_u, [8])
     with pytest.raises(ValueError, match="next state"):
         model.training_target(ds.x[:5], ds.u[:5], ds.x_next[0])
-    assert model.training_target(ds.x[:5], ds.u[:5], ds.x_next[:5]).targets.shape == (5, 24)
+    _, targets = model.training_target(ds.x[:5], ds.u[:5], ds.x_next[:5])
+    assert targets.shape == (5, 24)

@@ -77,3 +77,34 @@ def test_uniform_rows_equal_fresh_generators(count):
     assert rows.shape == (len(seeds), count)
     for row, seed in zip(rows, seeds):
         assert row.tobytes() == Rng(seed).uniform(size=count).tobytes()
+
+
+def test_draws_match_the_documented_formulas():
+    # Each transform, applied to a twin generator's raw values, bit for bit.
+    rng, twin = Rng(21), Rng(21)
+
+    def unit(count):
+        return (twin.next_u64(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    assert np.array_equal(rng.uniform(-2.0, 3.0, size=(7, 3)),
+                          (-2.0 + unit(21) * 5.0).reshape(7, 3))
+    assert np.array_equal(rng.uniform(0.0, -1.0, size=50), 0.0 + unit(50) * -1.0)
+    assert np.array_equal(rng.integers(1000, size=40),
+                          np.floor(unit(40) * 1000).astype(np.int64))
+    assert np.array_equal(rng.angles(size=30), np.pi - unit(30) * (2.0 * np.pi))
+    assert rng.uniform() == unit(1)[0]
+
+
+def test_draw_holds_at_most_one_block_besides_its_result():
+    import tracemalloc
+
+    rng = Rng(0)
+    rng.integers(5)  # fill the first lockstep buffer outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = rng.integers(20000, size=(256, 256))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * out.nbytes

@@ -367,6 +367,10 @@ class TestModelPersistence:
         ("mlp.activation", "sigmoid", "mlp", "activation must be one of"),
         ("mlp.hidden_layers", [0], "mlp", "widths must be positive"),
         ("mlp.input_dim", 7, "mlp", "parameter vector has"),
+        ("mode", "weird", "mode", "must be one of ('delta', 'absolute'), got 'weird'"),
+        ("group_id", "nope", "group_id", "unknown group id 'nope'"),
+        ("group_id", "reacher", "group_id",
+         "regressor output arity 24 does not match state size 11"),
     ])
     def test_wrong_header_field_rejected(self, tmp_path, parking_group, field, value,
                                          named, message):
