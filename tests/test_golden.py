@@ -15,8 +15,8 @@ import pytest
 from framedyn.builtin import get_group
 from framedyn.cli import main
 from framedyn.dataset import read_jsonl, write_jsonl
-from framedyn.rng import Rng, derive_seed
-from framedyn.sim import generate_dataset
+from framedyn.rng import Rng, derive_seed, uniform_rows
+from framedyn.sim import ENVS, generate_dataset
 from framedyn.training import (
     TrainConfig,
     build_baseline_model,
@@ -228,6 +228,32 @@ GOLDEN_COMPARE_DIGESTS = {
 }
 
 
+# (group, sampler) -> sha256 prefixes at size None and size 50 of the sample's
+# float64 bytes followed by the generator's next uniform, so the number of
+# values a sampler consumes is pinned as well as the values.
+GOLDEN_SAMPLER_DIGESTS = {
+    ("se2car", "random_state"): ("f7d5be27c4f26cd8", "842f38a0de438708"),
+    ("se2car", "random_element"): ("6857fff083fcfb8a", "baab8d476ab1d1aa"),
+    ("se2car", "random_control"): ("c61cd92a21b9f0b1", "02ec2e4800820a86"),
+    ("const:6", "random_state"): ("329e2a91c7666ac5", "93662d5c343ed0fe"),
+    ("const:6", "random_element"): ("ecd2bee8230ec261", "8372f7d13bdfebac"),
+    ("const:6", "random_control"): ("98e843ab787d17db", "98e843ab787d17db"),
+    ("parking2", "random_state"): ("fec37fde077412c4", "375691942c0099e7"),
+    ("parking2", "random_element"): ("1913f629bf80df6f", "506f9f7c7b8d5670"),
+    ("parking2", "random_control"): ("b3efde8d6979c0f8", "35333ba802226717"),
+    ("reacher", "random_state"): ("1aba450c5b6e3707", "3f3a18f7ddb2f391"),
+    ("reacher", "random_element"): ("4130c9816d3d600f", "6f0bcae9b4115540"),
+    ("reacher", "random_control"): ("efe58661be69cf46", "3347b057df123080"),
+}
+
+# env -> sha256 prefixes of ENVS[env].initial_state and its uniform-random
+# policy on one uniform_rows block of 50 episodes.
+GOLDEN_ENV_DRAW_DIGESTS = {
+    "parking2": ("125d13f5673ffee8", "5b032c16deed87a9"),
+    "reacher": ("83c1deaa480324a3", "fab1ecc0390da90f"),
+}
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN_DATASET_HASHES), ids=lambda k: "-".join(map(str, k)))
 def test_dataset_content_hash_is_golden(key):
     env_id, policy, episodes, horizon, seed = key
@@ -333,3 +359,32 @@ def test_compare_reports_are_golden(case, tmp_path):
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
                 for name in ("summary.csv", "curves.csv", "report.md"))
     assert got == want
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_SAMPLER_DIGESTS), ids=lambda k: "-".join(k))
+@pytest.mark.parametrize("size", [None, 50], ids=["single", "batch"])
+def test_group_sampler_draws_are_golden(key, size):
+    group_id, sampler = key
+    group = get_group(group_id)
+    rng = Rng(derive_seed(13, "golden-sampler", group_id, sampler))
+    out = getattr(group, sampler)(rng, size=size)
+    if sampler == "random_element":
+        out = out.coords
+    width = {"random_state": group.n, "random_element": group.r,
+             "random_control": group.n_u}[sampler]
+    assert out.shape == ((width,) if size is None else (size, width))
+    got = _digest(np.concatenate([np.ravel(out).astype(np.float64), rng.uniform(size=1)]))
+    assert got == GOLDEN_SAMPLER_DIGESTS[key][size is not None]
+
+
+@pytest.mark.parametrize("env_id", sorted(GOLDEN_ENV_DRAW_DIGESTS))
+def test_initial_state_and_uniform_policy_are_golden(env_id):
+    env = ENVS[env_id]
+    m, k = env.state_draws, env.policy_draws["uniform-random"]
+    draws = uniform_rows([derive_seed(13, "golden-env", env_id, e) for e in range(50)], m + k)
+    kept = draws.copy()
+    x = env.initial_state(draws[:, :m])
+    u = env.policies["uniform-random"](x, draws[:, m:])
+    assert (x.shape, u.shape) == ((50, env.n), (50, env.n_u))
+    assert (_digest(x), _digest(u)) == GOLDEN_ENV_DRAW_DIGESTS[env_id]
+    assert np.array_equal(draws, kept)  # the draws are read, never scaled in place
