@@ -22,7 +22,6 @@ from .groups import (
     FrameSingularityError,
     GroupElement,
     TransformationGroup,
-    angle_difference,
     wrap_angle,
 )
 from .mlp import Adam, Mlp, MlpSpec
@@ -53,7 +52,6 @@ __all__ = [
     "GroupElement",
     "FrameSingularityError",
     "wrap_angle",
-    "angle_difference",
     "SE2CarGroup",
     "ConstantTranslationGroup",
     "ReacherGroup",

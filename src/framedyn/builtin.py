@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import FrameSingularityError, GroupElement, TransformationGroup, wrap_angle
-from .rng import Rng
+from .groups import (FrameSingularityError, GroupElement, TransformationGroup, singular_frame,
+                     wrap_angle)
+from .rng import ANGLE_RANGE, Rng, scale
 
 HEADING_NORM_FLOOR = 1e-8
 
@@ -27,6 +28,22 @@ HEADING_NORM_FLOOR = 1e-8
 def _rotate(c, s, a, b):
     """Apply the rotation [[c, -s], [s, c]] to the pair (a, b)."""
     return c * a - s * b, s * a + c * b
+
+
+def _direction_norm(a, b, what: str):
+    """``hypot(a, b)``; the frame is singular where it is below ``HEADING_NORM_FLOOR``."""
+    norm = np.hypot(a, b)
+    bad = norm < HEADING_NORM_FLOOR
+    if bad.any():
+        raise singular_frame(f"{what} norm below {HEADING_NORM_FLOOR:g}", np.argwhere(bad)[0])
+    return norm
+
+
+def _draw_fields(rng: Rng, size, *ranges):
+    """One field-major ``rng.uniform`` block, row ``i`` scaled to ``ranges[i]``:
+    the values one draw per field, in field order, would give."""
+    units = rng.uniform(size=(len(ranges),) if size is None else (len(ranges), size))
+    return [scale(row, low, high) for row, (low, high) in zip(units, ranges)]
 
 
 class SE2CarGroup(TransformationGroup):
@@ -84,13 +101,7 @@ class SE2CarGroup(TransformationGroup):
         return out
 
     def _moving_frame(self, x):
-        norm = np.hypot(x[..., 4], x[..., 5])
-        if (norm < HEADING_NORM_FLOOR).any():
-            bad = np.argwhere(norm < HEADING_NORM_FLOOR)
-            raise FrameSingularityError(
-                f"heading direction norm below {HEADING_NORM_FLOOR:g} at index "
-                f"{bad[0].tolist()}; the frame is undefined there"
-            )
+        norm = _direction_norm(x[..., 4], x[..., 5], "heading direction")
         hy = x[..., 4] / norm
         hz = x[..., 5] / norm
         y, z = x[..., 0], x[..., 1]
@@ -101,24 +112,13 @@ class SE2CarGroup(TransformationGroup):
         return out
 
     def random_element(self, rng: Rng, size=None) -> GroupElement:
-        shape = () if size is None else (size,)
-        coords = np.empty(shape + (3,))
-        coords[..., 0] = rng.uniform(-5.0, 5.0, size=shape or None)
-        coords[..., 1] = rng.uniform(-5.0, 5.0, size=shape or None)
-        coords[..., 2] = rng.angles(size=shape or None)
-        return GroupElement(coords, self.group_id)
+        coords = _draw_fields(rng, size, (-5.0, 5.0), (-5.0, 5.0), ANGLE_RANGE)
+        return GroupElement(np.stack(coords, axis=-1), self.group_id)
 
     def random_state(self, rng: Rng, size=None) -> np.ndarray:
-        shape = () if size is None else (size,)
-        x = np.empty(shape + (6,))
-        x[..., 0] = rng.uniform(-5.0, 5.0, size=shape or None)
-        x[..., 1] = rng.uniform(-5.0, 5.0, size=shape or None)
-        x[..., 2] = rng.uniform(-2.0, 2.0, size=shape or None)
-        x[..., 3] = rng.uniform(-2.0, 2.0, size=shape or None)
-        ang = np.asarray(rng.angles(size=shape or None))
-        x[..., 4] = np.cos(ang)
-        x[..., 5] = np.sin(ang)
-        return x
+        *pos_vel, ang = _draw_fields(rng, size, (-5.0, 5.0), (-5.0, 5.0), (-2.0, 2.0),
+                                     (-2.0, 2.0), ANGLE_RANGE)
+        return np.stack([*pos_vel, np.cos(ang), np.sin(ang)], axis=-1)
 
 
 class ConstantTranslationGroup(TransformationGroup):
@@ -152,8 +152,7 @@ class ConstantTranslationGroup(TransformationGroup):
         return -x
 
     def random_element(self, rng: Rng, size=None) -> GroupElement:
-        shape = (self.r,) if size is None else (size, self.r)
-        return GroupElement(rng.uniform(-5.0, 5.0, size=shape), self.group_id)
+        return GroupElement(self.random_state(rng, size), self.group_id)  # r == n
 
     def random_state(self, rng: Rng, size=None) -> np.ndarray:
         shape = (self.n,) if size is None else (size, self.n)
@@ -226,13 +225,7 @@ class ReacherGroup(TransformationGroup):
         return out
 
     def _moving_frame(self, x):
-        norm = np.hypot(x[..., 0], x[..., 2])
-        if (norm < HEADING_NORM_FLOOR).any():
-            bad = np.argwhere(norm < HEADING_NORM_FLOOR)
-            raise FrameSingularityError(
-                f"base joint direction norm below {HEADING_NORM_FLOOR:g} at index "
-                f"{bad[0].tolist()}; the frame is undefined there"
-            )
+        _direction_norm(x[..., 0], x[..., 2], "base joint direction")
         out = np.empty(x.shape[:-1] + (4,))
         out[..., 0] = np.arctan2(-x[..., 2], x[..., 0])
         out[..., 1] = -x[..., 4]
@@ -241,29 +234,14 @@ class ReacherGroup(TransformationGroup):
         return out
 
     def random_element(self, rng: Rng, size=None) -> GroupElement:
-        shape = () if size is None else (size,)
-        coords = np.empty(shape + (4,))
-        coords[..., 0] = rng.angles(size=shape or None)
-        coords[..., 1] = rng.uniform(-1.0, 1.0, size=shape or None)
-        coords[..., 2] = rng.uniform(-1.0, 1.0, size=shape or None)
-        coords[..., 3] = rng.uniform(-1.0, 1.0, size=shape or None)
-        return GroupElement(coords, self.group_id)
+        coords = _draw_fields(rng, size, ANGLE_RANGE, (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
+        return GroupElement(np.stack(coords, axis=-1), self.group_id)
 
     def random_state(self, rng: Rng, size=None) -> np.ndarray:
-        shape = () if size is None else (size,)
-        x = np.empty(shape + (11,))
-        a1 = np.asarray(rng.angles(size=shape or None))
-        a2 = np.asarray(rng.angles(size=shape or None))
-        x[..., 0], x[..., 2] = np.cos(a1), np.sin(a1)
-        x[..., 1], x[..., 3] = np.cos(a2), np.sin(a2)
-        x[..., 4] = rng.uniform(-1.0, 1.0, size=shape or None)
-        x[..., 5] = rng.uniform(-1.0, 1.0, size=shape or None)
-        x[..., 6] = rng.uniform(-2.0, 2.0, size=shape or None)
-        x[..., 7] = rng.uniform(-2.0, 2.0, size=shape or None)
-        x[..., 8] = rng.uniform(-1.0, 1.0, size=shape or None)
-        x[..., 9] = rng.uniform(-1.0, 1.0, size=shape or None)
-        x[..., 10] = 0.0
-        return x
+        a1, a2, *rest = _draw_fields(rng, size, ANGLE_RANGE, ANGLE_RANGE, (-1.0, 1.0), (-1.0, 1.0),
+                                     (-2.0, 2.0), (-2.0, 2.0), (-1.0, 1.0), (-1.0, 1.0))
+        return np.stack([np.cos(a1), np.cos(a2), np.sin(a1), np.sin(a2), *rest,
+                         np.zeros_like(a1)], axis=-1)
 
 
 class ProductGroup(TransformationGroup):
@@ -348,8 +326,18 @@ class ProductGroup(TransformationGroup):
 
     def _moving_frame(self, x):
         out = np.empty(x.shape[:-1] + (self.r,))
+        first = 0  # position of the run's first factor
         for group, k, s, _, cs in self._runs:
-            self._blocks(out, cs, k)[...] = group._moving_frame(self._blocks(x, s, k))
+            try:
+                self._blocks(out, cs, k)[...] = group._moving_frame(self._blocks(x, s, k))
+            except FrameSingularityError as e:
+                if not getattr(e, "index", ()):
+                    raise
+                # The run's factors sit on the call's last batch axis.
+                *batch, slot = e.index
+                raise singular_frame(e.reason, batch, e.where,
+                                     f"{first + slot} ('{group.group_id}')") from None
+            first += k
         return out
 
     def random_element(self, rng: Rng, size=None) -> GroupElement:

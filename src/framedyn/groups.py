@@ -27,14 +27,22 @@ class FrameSingularityError(ValueError):
     """The moving frame is undefined at the given state."""
 
 
+def singular_frame(reason: str, index=(), where: str = "batch index",
+                   factor: str | None = None) -> FrameSingularityError:
+    """The error for a frame that fails at ``index`` (empty for one state), with
+    what ``index`` counts and any product ``factor``, all kept as attributes."""
+    index = tuple(int(i) for i in index)
+    place = "" if factor is None else f" in factor {factor}"
+    if index:
+        place += f" at {where} {index[0] if len(index) == 1 else list(index)}"
+    err = FrameSingularityError(f"{reason}{place}; the frame is undefined there")
+    err.reason, err.index, err.where, err.factor = reason, index, where, factor
+    return err
+
+
 def wrap_angle(theta):
     """Wrap angles to (-pi, pi]."""
     return np.pi - np.remainder(np.pi - np.asarray(theta, dtype=np.float64), 2.0 * np.pi)
-
-
-def angle_difference(a, b):
-    """Signed difference a - b wrapped to (-pi, pi]."""
-    return wrap_angle(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ numpy's own generator evolution.  The scheme, precisely:
   ``x * 0x2545F4914F6CDD1D``.  Consumers take values from successive lockstep
   advances in stream order (a FIFO buffer), so the consumed sequence depends
   only on the seed and the cumulative number of values requested.
-* A 64-bit value ``v`` maps to a double in [0, 1) as ``(v >> 11) * 2**-53``.
-* ``integers(n)`` is ``floor(uniform() * n)`` (requires ``n < 2**53``).
+* A 64-bit value ``v`` maps to ``u = (v >> 11) * 2**-53`` in [0, 1), and
+  ``scale(u, low, high) = u * (high - low) + low`` maps ``u`` to a value:
+  ``uniform`` is ``scale(u, low, high)``, ``angles`` ``scale(u, pi, -pi)`` and
+  ``integers(n)`` ``floor(scale(u, 0, n))`` (requires ``n < 2**53``).
 * ``permutation(n)`` sorts ``n`` fresh 64-bit keys with a stable argsort.
 * ``uniform_rows(seeds, count)`` draws the first ``count`` uniforms of many
   fresh generators in one pass: row ``e`` is bit-equal to
@@ -36,6 +38,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _XS_MULT = np.uint64(0x2545F4914F6CDD1D)
 BANK_SIZE = 1024
+ANGLE_RANGE = (np.pi, -np.pi)  # scale(u, *ANGLE_RANGE): angles in (-pi, pi]
 
 
 def mix64(z: int) -> int:
@@ -102,6 +105,15 @@ def _unit(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def scale(units, low, high):
+    """``units * (high - low) + low``: the one map from draws in [0, 1) to
+    values, which every sampler in the package uses.  ``low`` and ``high``
+    broadcast against ``units``, which is not modified."""
+    out = units * (high - low)
+    out += low
+    return out
+
+
 def uniform_rows(seeds, count: int) -> np.ndarray:
     """Uniform doubles in [0, 1) for many fresh generators at once: row ``e``
     of the ``(len(seeds), count)`` result is bit-equal to
@@ -147,34 +159,27 @@ class Rng:
             filled += take
         return out
 
-    def _draw(self, size, scale, offset=0.0, integer=False):
-        # ``u * scale + offset`` for doubles ``u`` in [0, 1) from the next
-        # 64-bit values, or ``floor(u * scale)`` as int64 when ``integer``,
-        # computed in place: a Python scalar when ``size`` is None, else an
-        # array of shape ``size``.
-        count = 1 if size is None else int(np.prod(size))
-        vals = _unit(self.next_u64(count))
-        vals *= scale
-        if integer:
-            vals = np.floor(vals, out=vals).astype(np.int64)
-        else:
-            vals += offset
-        return vals[0].item() if size is None else vals.reshape(size)
+    def _draw(self, size, low, high):
+        # ``scale`` of the next draws: a Python scalar when ``size`` is None,
+        # else an array of shape ``size``.
+        units = _unit(self.next_u64(1 if size is None else int(np.prod(size))))
+        values = scale(units, low, high)
+        return values[0].item() if size is None else values.reshape(size)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         """Uniform doubles in [low, high); scalar when ``size`` is None."""
-        return self._draw(size, high - low, low)
+        return self._draw(size, low, high)
 
     def integers(self, n: int, size=None):
         """Uniform integers in [0, n); scalar when ``size`` is None."""
         if not 0 < n < 2**53:
             raise ValueError(f"integers() requires 0 < n < 2**53, got {n}")
-        return self._draw(size, n, integer=True)
+        values = np.floor(self._draw(size, 0, n))
+        return int(values) if size is None else values.astype(np.int64)
 
     def angles(self, size=None):
         """Uniform angles in (-pi, pi]."""
-        # u * -2pi is exactly -(u * 2pi), so this is pi - u * 2pi bit for bit
-        return self._draw(size, -2.0 * np.pi, np.pi)
+        return self._draw(size, *ANGLE_RANGE)
 
     def permutation(self, n: int) -> np.ndarray:
         """Random permutation of range(n) via 64-bit sort keys."""

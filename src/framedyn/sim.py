@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import TransitionDataset
-from .rng import derive_seed, uniform_rows
+from .rng import ANGLE_RANGE, derive_seed, scale, uniform_rows
 
 CAR_DT = 0.1
 CAR_WHEELBASE = 1.0
@@ -51,7 +51,7 @@ REACHER_MAX_TORQUE = 1.0
 POLICIES = ("uniform-random", "scripted-goal-seek")
 
 
-def car_step(x, u, dt: float = CAR_DT) -> np.ndarray:
+def car_step(x, u) -> np.ndarray:
     """Kinematic bicycle step for one car state (y, z, v_y, v_z, h_y, h_z).
 
     Controls are (acceleration, steering angle), clamped to +-1 and +-pi/4.
@@ -67,8 +67,8 @@ def car_step(x, u, dt: float = CAR_DT) -> np.ndarray:
     steer = np.clip(uv[..., 1], -CAR_MAX_STEER, CAR_MAX_STEER)
     hy, hz = xv[..., 4], xv[..., 5]
     speed = xv[..., 2] * hy + xv[..., 3] * hz
-    new_speed = speed + accel * dt
-    yaw = speed * np.tan(steer) / CAR_WHEELBASE * dt
+    new_speed = speed + accel * CAR_DT
+    yaw = speed * np.tan(steer) / CAR_WHEELBASE * CAR_DT
     cos_y, sin_y = np.cos(yaw), np.sin(yaw)
     new_hy = cos_y * hy - sin_y * hz
     new_hz = sin_y * hy + cos_y * hz
@@ -76,8 +76,8 @@ def car_step(x, u, dt: float = CAR_DT) -> np.ndarray:
     new_hy, new_hz = new_hy / norm, new_hz / norm
     shape = np.broadcast_shapes(xv.shape[:-1], uv.shape[:-1])
     out = np.empty(shape + (6,))
-    out[..., 0] = xv[..., 0] + speed * hy * dt
-    out[..., 1] = xv[..., 1] + speed * hz * dt
+    out[..., 0] = xv[..., 0] + speed * hy * CAR_DT
+    out[..., 1] = xv[..., 1] + speed * hz * CAR_DT
     out[..., 2] = new_speed * new_hy
     out[..., 3] = new_speed * new_hz
     out[..., 4] = new_hy
@@ -85,15 +85,15 @@ def car_step(x, u, dt: float = CAR_DT) -> np.ndarray:
     return out
 
 
-def parking_step(x, u, dt: float = CAR_DT) -> np.ndarray:
+def parking_step(x, u) -> np.ndarray:
     """Joint step for two cars (slices 0:6 and 6:12, controls 0:2 and 2:4);
     the goal blocks 12:24 are constant."""
     xv = np.asarray(x, dtype=np.float64)
     uv = np.asarray(u, dtype=np.float64)
     shape = np.broadcast_shapes(xv.shape[:-1], uv.shape[:-1])
     out = np.empty(shape + (24,))
-    out[..., 0:6] = car_step(xv[..., 0:6], uv[..., 0:2], dt)
-    out[..., 6:12] = car_step(xv[..., 6:12], uv[..., 2:4], dt)
+    out[..., 0:6] = car_step(xv[..., 0:6], uv[..., 0:2])
+    out[..., 6:12] = car_step(xv[..., 6:12], uv[..., 2:4])
     out[..., 12:24] = xv[..., 12:24]
     return out
 
@@ -105,7 +105,7 @@ def _reacher_fingertip(th1, th2):
     return fy, fz
 
 
-def reacher_step(x, u, dt: float = REACHER_DT) -> np.ndarray:
+def reacher_step(x, u) -> np.ndarray:
     """Two-link reacher step on the 11-dimensional observation.
 
     Joints are decoupled and damped: angular acceleration is
@@ -121,10 +121,10 @@ def reacher_step(x, u, dt: float = REACHER_DT) -> np.ndarray:
     th1 = np.arctan2(xv[..., 2], xv[..., 0])
     th2 = np.arctan2(xv[..., 3], xv[..., 1])
     w1, w2 = xv[..., 6], xv[..., 7]
-    new_th1 = th1 + w1 * dt
-    new_th2 = th2 + w2 * dt
-    new_w1 = w1 + (tau[..., 0] - REACHER_DAMPING * w1) / REACHER_INERTIA * dt
-    new_w2 = w2 + (tau[..., 1] - REACHER_DAMPING * w2) / REACHER_INERTIA * dt
+    new_th1 = th1 + w1 * REACHER_DT
+    new_th2 = th2 + w2 * REACHER_DT
+    new_w1 = w1 + (tau[..., 0] - REACHER_DAMPING * w1) / REACHER_INERTIA * REACHER_DT
+    new_w2 = w2 + (tau[..., 1] - REACHER_DAMPING * w2) / REACHER_INERTIA * REACHER_DT
     fy, fz = _reacher_fingertip(new_th1, new_th2)
     shape = np.broadcast_shapes(xv.shape[:-1], uv.shape[:-1])
     out = np.empty(shape + (11,))
@@ -143,33 +143,22 @@ def reacher_step(x, u, dt: float = REACHER_DT) -> np.ndarray:
 
 
 # -- initial states ----------------------------------------------------------
-# Batched; row ``e`` of the draws is scaled field by field, the same values as
-# one scalar ``Rng`` draw per field in field order.
-
-
-def _uniform(draws, limit) -> np.ndarray:
-    """Scale [0, 1) draws to [-limit, limit), bit-equal to
-    ``Rng.uniform(-limit, limit)`` (``lo + d * (hi - lo)``)."""
-    return -limit + draws * (limit + limit)
-
-
-def _angle(draws):
-    """Scale [0, 1) draws to angles, bit-equal to ``Rng.angles()``."""
-    return np.pi - draws * (2.0 * np.pi)
+# Batched; row ``e`` of the draws is mapped field by field through ``scale``,
+# the values ``Rng.uniform`` and ``Rng.angles`` give for the same draws.
 
 
 def _random_car_block(d) -> np.ndarray:
-    y, z = _uniform(d[0], 5.0), _uniform(d[1], 5.0)
-    ang = _angle(d[2])
-    speed = _uniform(d[3], 1.0)
+    y, z = scale(d[0], -5.0, 5.0), scale(d[1], -5.0, 5.0)
+    ang = scale(d[2], *ANGLE_RANGE)
+    speed = scale(d[3], -1.0, 1.0)
     hy, hz = np.cos(ang), np.sin(ang)
     return np.stack([y, z, speed * hy, speed * hz, hy, hz], axis=-1)
 
 
 def _random_goal_block(d) -> np.ndarray:
-    ang = _angle(d[2])
+    ang = scale(d[2], *ANGLE_RANGE)
     zero = np.zeros_like(ang)
-    return np.stack([_uniform(d[0], 5.0), _uniform(d[1], 5.0), zero, zero,
+    return np.stack([scale(d[0], -5.0, 5.0), scale(d[1], -5.0, 5.0), zero, zero,
                      np.cos(ang), np.sin(ang)], axis=-1)
 
 
@@ -183,11 +172,11 @@ def parking_initial_state(draws) -> np.ndarray:
 
 def reacher_initial_state(draws) -> np.ndarray:
     d = draws.T
-    th1, th2 = _angle(d[0]), _angle(d[1])
-    w1, w2 = _uniform(d[2], 1.0), _uniform(d[3], 1.0)
+    th1, th2 = scale(d[0], *ANGLE_RANGE), scale(d[1], *ANGLE_RANGE)
+    w1, w2 = scale(d[2], -1.0, 1.0), scale(d[3], -1.0, 1.0)
     # Target uniform over the reachable disk of radius 2 * link length.
     radius = 2.0 * REACHER_LINK * np.sqrt(d[4])
-    t_ang = _angle(d[5])
+    t_ang = scale(d[5], *ANGLE_RANGE)
     ty, tz = radius * np.cos(t_ang), radius * np.sin(t_ang)
     fy, fz = _reacher_fingertip(th1, th2)
     return np.stack(
@@ -203,7 +192,7 @@ _PARKING_LIMITS = np.array([CAR_MAX_ACCEL, CAR_MAX_STEER, CAR_MAX_ACCEL, CAR_MAX
 
 
 def _parking_uniform(x, draws) -> np.ndarray:
-    return _uniform(draws, _PARKING_LIMITS)
+    return scale(draws, -_PARKING_LIMITS, _PARKING_LIMITS)
 
 
 def _car_goal_seek(car, goal) -> np.ndarray:
@@ -227,7 +216,7 @@ def _parking_goal_seek(x, draws) -> np.ndarray:
 
 
 def _reacher_uniform(x, draws) -> np.ndarray:
-    return _uniform(draws, REACHER_MAX_TORQUE)
+    return scale(draws, -REACHER_MAX_TORQUE, REACHER_MAX_TORQUE)
 
 
 def _rowwise_dot(a, b) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .builtin import get_group
 from .dataset import TransitionDataset
-from .groups import TransformationGroup
+from .groups import FrameSingularityError, TransformationGroup, singular_frame
 from .mlp import Adam, Mlp, MlpSpec
 from .models import MODES, BaselineModel, SymmetryReducedModel
 from .rng import Rng, derive_seed
@@ -105,7 +105,13 @@ def check_model_dataset(model, dataset: TransitionDataset):
 def _encode_split(model, dataset: TransitionDataset, indices):
     """Regressor inputs, decode context, targets and next states at ``indices``."""
     x_next = dataset.x_next[indices]
-    return *model._encode(dataset.x[indices], dataset.u[indices], x_next), x_next
+    try:
+        return *model._encode(dataset.x[indices], dataset.u[indices], x_next), x_next
+    except FrameSingularityError as e:
+        if len(getattr(e, "index", ())) != 1:
+            raise
+        row = np.arange(len(dataset))[indices][e.index[0]]
+        raise singular_frame(e.reason, [row], "dataset row", e.factor) from None
 
 
 def observation_mse(model, dataset: TransitionDataset, indices, encoded=None) -> float:
@@ -334,7 +340,12 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
         raise ModelFormatError(
             f"{path}: baseline model carries no group, but '{expected_id}' was requested"
         )
-    return BaselineModel(field("n"), field("n_u"), regressor, mode=mode)
+    n, n_u = field("n"), field("n_u")
+    try:  # sizes that do not fit the regressor
+        return BaselineModel(n, n_u, regressor, mode=mode)
+    except ValueError as e:
+        raise ModelFormatError(
+            f"{path}: model header field 'n'/'n_u' (n={n}, n_u={n_u}): {e}") from e
 
 
 # -- metrics files -------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from framedyn.builtin import get_group
 from framedyn.dataset import TransitionDataset
-from framedyn.groups import angle_difference
+from framedyn.groups import wrap_angle
 from framedyn.rng import Rng, derive_seed
 from framedyn.sim import get_env
 from framedyn.training import (
@@ -70,7 +70,7 @@ def test_criterion_3_closed_form_frame_fixtures():
     def angle_aware(group, got, expected):
         diff = np.abs(got - expected)
         for k in group.angular_coords:
-            diff[k] = abs(angle_difference(got[k], expected[k]))
+            diff[k] = abs(wrap_angle(got[k] - expected[k]))
         return diff.max()
 
     for i in range(100):

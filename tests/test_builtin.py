@@ -8,7 +8,7 @@ from framedyn.builtin import (
     get_group,
     make_parking_group,
 )
-from framedyn.groups import angle_difference
+from framedyn.groups import wrap_angle
 from framedyn.rng import Rng
 import oracles
 
@@ -16,7 +16,7 @@ import oracles
 def _angle_aware_error(group, coords, expected):
     diff = np.abs(coords - expected)
     for k in group.angular_coords:
-        diff[..., k] = np.abs(angle_difference(coords[..., k], expected[..., k]))
+        diff[..., k] = np.abs(wrap_angle(coords[..., k] - expected[..., k]))
     return diff.max()
 
 
@@ -260,3 +260,22 @@ def test_registry_ids():
         get_group("const:0")
     with pytest.raises(ValueError):
         get_group("const:x")
+
+
+@pytest.mark.parametrize("size", [None, 50], ids=["single", "batch"])
+@pytest.mark.parametrize("sampler", ["random_state", "random_element"])
+@pytest.mark.parametrize("group_id", ["se2car", "reacher"])
+def test_sampler_makes_one_rng_draw(monkeypatch, group_id, sampler, size):
+    # Every public draw and every raw block request is counted, so a nested
+    # call (angles through uniform, say) would count twice.
+    calls = []
+    for method in ("uniform", "integers", "angles", "permutation", "next_u64"):
+        original = getattr(Rng, method)
+
+        def counted(self, *args, _name=method, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Rng, method, counted)
+    getattr(get_group(group_id), sampler)(Rng(4), size=size)
+    assert calls == ["uniform", "next_u64"]

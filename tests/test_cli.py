@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from framedyn.cli import build_parser, load_config, main
-from framedyn.dataset import read_jsonl
+from framedyn.dataset import read_jsonl, write_jsonl
 from framedyn.training import read_metrics_csv
 
 
@@ -125,6 +125,21 @@ class TestTrain:
                     "--out-metrics", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {data}: line 3: not valid UTF-8 (byte 0xff)\n"
+
+    def test_singular_frame_names_the_dataset_row(self, tmp_path, capsys):
+        data = tmp_path / "tiny.jsonl"
+        assert run(["gen-data", "--env", "parking2", "--episodes", "4",
+                    "--horizon", "5", "-o", str(data)]) == 0
+        ds = read_jsonl(data)
+        ds.x[7, 4:6] = 0.0  # car 0 has no heading in row 7
+        write_jsonl(data, ds)
+        capsys.readouterr()
+        assert run(["train", "--data", str(data), "--updates", "10",
+                    "--out-model", str(tmp_path / "x.fdm"),
+                    "--out-metrics", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: heading direction norm below 1e-08 in factor 0 ('se2car') "
+            "at dataset row 7; the frame is undefined there\n")
 
     @pytest.mark.parametrize("hidden", ["", ","])
     def test_empty_hidden_list_fails_before_any_output(self, dataset_path, tmp_path,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from framedyn.builtin import get_group
-from framedyn.groups import FrameSingularityError, angle_difference, wrap_angle
+from framedyn.builtin import HEADING_NORM_FLOOR, get_group
+from framedyn.groups import FrameSingularityError, wrap_angle
 from framedyn.rng import Rng
 from framedyn.verify import (
     check_frame,
@@ -26,7 +26,8 @@ def test_wrap_angle_interval():
 
 
 def test_angle_difference_handles_branch_cut():
-    assert abs(angle_difference(np.pi - 1e-12, -np.pi + 1e-12)) < 1e-11
+    # A difference across the branch cut wraps to the short way round.
+    assert abs(wrap_angle((np.pi - 1e-12) - (-np.pi + 1e-12))) < 1e-11
 
 
 @pytest.mark.parametrize("gid", ALL_GROUP_IDS)
@@ -151,6 +152,44 @@ def test_singular_frame_raises():
     xr[0] = xr[2] = 0.0
     with pytest.raises(FrameSingularityError, match="base joint"):
         reacher.moving_frame(xr)
+
+
+def test_singular_factor_is_named_apart_from_the_batch_index():
+    parking = get_group("parking2")
+    x = parking.random_state(Rng(2), size=5)
+    x[3, 6 + 4 : 6 + 6] = 0.0  # car 1 of row 3
+    with pytest.raises(FrameSingularityError) as single:
+        parking.moving_frame(x[3])
+    assert str(single.value) == ("heading direction norm below 1e-08 in factor 1 ('se2car'); "
+                                 "the frame is undefined there")
+    with pytest.raises(FrameSingularityError) as batch:
+        parking.moving_frame(x)
+    assert "in factor 1 ('se2car') at batch index 3;" in str(batch.value)
+    assert batch.value.index == (3,)
+    car = get_group("se2car")
+    with pytest.raises(FrameSingularityError, match=r"^heading direction .* at batch index 3;"):
+        car.moving_frame(x[:, 6:12])
+    reacher = get_group("reacher")
+    xr = reacher.random_state(Rng(1), size=4)
+    xr[2, 0] = xr[2, 2] = 0.0
+    with pytest.raises(FrameSingularityError, match=r"^base joint .* at batch index 2;"):
+        reacher.moving_frame(xr)
+
+
+def test_frame_just_above_the_floor_is_finite():
+    above = np.nextafter(HEADING_NORM_FLOOR, 1.0)
+    car = get_group("se2car")
+    x = np.array([1.0, 2.0, 0.5, 0.5, above, 0.0])
+    assert np.isfinite(car.moving_frame(x).coords).all()
+    assert np.isfinite(car.reduce(x)).all()
+    parking = get_group("parking2")
+    xp = parking.random_state(Rng(3))
+    xp[10:12] = (0.0, above)
+    assert np.isfinite(parking.moving_frame(xp).coords).all()
+    reacher = get_group("reacher")
+    xr = reacher.random_state(Rng(1))
+    xr[0], xr[2] = 0.0, -above
+    assert np.isfinite(reacher.moving_frame(xr).coords).all()
 
 
 def test_const_group_reduce_is_empty():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framedyn.rng import Rng, derive_seed, mix64, uniform_rows
+from framedyn.rng import Rng, derive_seed, mix64, scale, uniform_rows
 
 
 def test_same_seed_same_stream():
@@ -93,6 +93,24 @@ def test_draws_match_the_documented_formulas():
                           np.floor(unit(40) * 1000).astype(np.int64))
     assert np.array_equal(rng.angles(size=30), np.pi - unit(30) * (2.0 * np.pi))
     assert rng.uniform() == unit(1)[0]
+
+
+def test_scale_is_the_draw_map(monkeypatch):
+    # uniform and angles are scale() of the same draws; angles does not go
+    # through the public uniform, so a wrapper around it sees one call.
+    u = Rng(5).uniform(size=40)
+    assert np.array_equal(Rng(5).uniform(-3.0, 2.0, size=40), scale(u, -3.0, 2.0))
+    assert np.array_equal(Rng(5).angles(size=40), scale(u, np.pi, -np.pi))
+    assert np.array_equal(scale(u, np.pi, -np.pi), np.pi - u * (2.0 * np.pi))
+    kept = u.copy()
+    scale(u, np.array([-1.0, 0.0]).repeat(20), 4.0)
+    assert np.array_equal(u, kept)  # the draws are not modified
+
+    def no_uniform(self, *args, **kwargs):
+        raise AssertionError("angles called uniform")
+
+    monkeypatch.setattr(Rng, "uniform", no_uniform)
+    assert np.array_equal(Rng(5).angles(size=40), scale(u, np.pi, -np.pi))
 
 
 def test_draw_holds_at_most_one_block_besides_its_result():

@@ -22,7 +22,7 @@ from framedyn.verify import check_sim_invariance
 class TestCarStep:
     def test_straight_line_advances_position(self):
         x = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 0.0])  # unit speed along +y
-        nxt = car_step(x, np.array([0.0, 0.0]), dt=0.1)
+        nxt = car_step(x, np.array([0.0, 0.0]))
         assert abs(nxt[0] - 0.1) < 1e-15
         assert abs(nxt[1]) < 1e-15
         assert np.allclose(nxt[2:], [1.0, 0.0, 1.0, 0.0], atol=1e-15)

@@ -333,10 +333,12 @@ class TestModelPersistence:
 
     @staticmethod
     def _saved_with_header_edit(tmp_path, group, field, edit):
-        """A saved symmetry model file whose header ``field`` (dotted) went
-        through ``edit(parent_dict, key)``."""
+        """A saved model file whose header ``field`` (dotted) went through
+        ``edit(parent_dict, key)``: a baseline for ``n``/``n_u``, which only
+        baseline headers are read for, else a symmetry model."""
         path = tmp_path / "m.fdm"
-        save_model(path, build_symmetry_model(group, [8], seed=1))
+        save_model(path, build_baseline_model(group.n, group.n_u, [8], seed=1)
+                   if field in ("n", "n_u") else build_symmetry_model(group, [8], seed=1))
         header, _, rest = path.read_bytes().partition(b"\n")
         doc = json.loads(header)
         *parents, key = field.split(".")
@@ -371,6 +373,10 @@ class TestModelPersistence:
         ("group_id", "nope", "group_id", "unknown group id 'nope'"),
         ("group_id", "reacher", "group_id",
          "regressor output arity 24 does not match state size 11"),
+        ("n", 5, "n'/'n_u", "(n=5, n_u=4): regressor input arity 28 does not match n + n_u = 9"),
+        ("n_u", 7, "n'/'n_u", "(n=24, n_u=7): regressor input arity 28 does not match"),
+        ("n", -1, "n'/'n_u", "(n=-1, n_u=4): regressor input arity 28 does not match"),
+        ("n", 0, "n'/'n_u", "(n=0, n_u=4): regressor input arity 28 does not match"),
     ])
     def test_wrong_header_field_rejected(self, tmp_path, parking_group, field, value,
                                          named, message):
