@@ -388,3 +388,50 @@ def test_initial_state_and_uniform_policy_are_golden(env_id):
     assert (x.shape, u.shape) == ((50, env.n), (50, env.n_u))
     assert (_digest(x), _digest(u)) == GOLDEN_ENV_DRAW_DIGESTS[env_id]
     assert np.array_equal(draws, kept)  # the draws are read, never scaled in place
+
+
+# Every setting of one train run and one compare grid, each given three ways:
+# all as flags, all in a --config file, and mixed (the first half in the file,
+# the rest as flags, with a file value for "seed" that the flag overrides).
+# command -> (settings, metrics file read, sha256 prefix of its "# config:" line)
+GOLDEN_CONFIG_LINES = {
+    "train": ([("symmetry", "on"), ("group", "parking2"), ("mode", "absolute"),
+               ("hidden", "16, 8"), ("activation", "tanh"), ("lr", "0.002"),
+               ("batch-size", "32"), ("updates", "20"), ("eval-every", "10"),
+               ("seed", "3"), ("test-fraction", "0.2"), ("split-seed", "5")],
+              "m.csv", "ed0760700f2311d6"),
+    "compare": ([("archs", "1, 2"), ("hidden-size", "8"), ("runs", "2"),
+                 ("mode", "absolute"), ("activation", "tanh"), ("lr", "0.002"),
+                 ("batch-size", "32"), ("group", "parking2"), ("updates", "20"),
+                 ("eval-every", "10"), ("seed", "3"), ("test-fraction", "0.2"),
+                 ("workers", "1")],
+                "cmp/parking2_h2_sym_s4.csv", "90bd264fe97c90c4"),
+}
+
+
+def _as_flags(pairs):
+    return [token for key, value in pairs for token in (f"--{key}", value)]
+
+
+@pytest.mark.parametrize("form", ["flags", "config", "mixed"])
+@pytest.mark.parametrize("command", sorted(GOLDEN_CONFIG_LINES))
+def test_config_line_is_golden_for_every_input_form(command, form, tmp_path):
+    settings, metrics, want = GOLDEN_CONFIG_LINES[command]
+    data = tmp_path / "d.jsonl"
+    assert main(["gen-data", "--env", "parking2", "--episodes", "6", "--horizon", "10",
+                 "--seed", "1", "-o", str(data)]) == 0
+    outputs = ([("out-dir", str(tmp_path / "cmp"))] if command == "compare" else
+               [("out-model", str(tmp_path / "m.fdm")), ("out-metrics", str(tmp_path / "m.csv"))])
+    pairs = [("data", str(data)), *settings, *outputs]
+    in_file, as_flags = {"flags": ([], pairs), "config": (pairs, []),
+                         "mixed": (pairs[:len(pairs) // 2] + [("seed", "99")],
+                                   pairs[len(pairs) // 2:])}[form]
+    argv = [command, *_as_flags(as_flags)]
+    if in_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in in_file))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    line = (tmp_path / metrics).read_text().splitlines()[0]
+    assert line.startswith("# config: ")
+    assert hashlib.sha256(line.encode()).hexdigest()[:16] == want
