@@ -7,8 +7,10 @@ invariance suites as a release gate).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Every command is
 deterministic given ``--seed``; rerunning reproduces output files except for
-wall-time columns.  A ``--config`` file with flat ``key = value`` lines can
-supply defaults for any flag (flags win).
+wall-time columns.  A ``--config`` file of flat ``key = value`` lines sets
+the defaults of the subcommand's options (flags win).  Each value goes through
+its option's own type and choices, as a flag's does, so a bad value is a usage
+error (exit 2); keys that name no option of the subcommand are ignored.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .dataset import DatasetFormatError, read_jsonl, write_jsonl
 from .mlp import ACTIVATIONS
 from .models import MODES
 from .rng import derive_seed
-from .sim import ENVS, POLICIES, generate_dataset, get_env
+from .sim import ENVS, POLICIES, default_hidden, generate_dataset, get_env
 from .training import (
     ADAM_BETAS,
     ADAM_EPS,
@@ -57,22 +59,6 @@ def load_config(path) -> dict:
     return config
 
 
-class _Resolver:
-    """Merge precedence: explicit flag > config file > built-in default."""
-
-    def __init__(self, args):
-        self.args = args
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key, default=None, cast=str):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if key in self.config:
-            return cast(self.config[key])
-        return default
-
-
 def _parse_list(text, item=int) -> tuple:
     """Comma-separated items; spaces around an item and empty items are ignored."""
     return tuple(item(v.strip()) for v in text.split(",") if v.strip())
@@ -81,24 +67,24 @@ def _parse_list(text, item=int) -> tuple:
 # -- gen-data ------------------------------------------------------------------
 
 
+def _or(value, default):
+    """``value`` unless the option was left unset (None)."""
+    return default if value is None else value
+
+
 def cmd_gen_data(args) -> int:
-    r = _Resolver(args)
-    env_id = r.get("env")
-    if env_id is None:
+    if args.env is None:
         raise ValueError("--env is required (parking2 or reacher)")
-    env = get_env(env_id)
-    episodes = r.get("episodes", env.default_episodes, int)
-    horizon = r.get("horizon", env.default_horizon, int)
-    policy = r.get("policy", "uniform-random")
-    seed = r.get("seed", 0, int)
-    out = r.get("out")
-    if out is None:
+    env = get_env(args.env)
+    if args.out is None:
         raise ValueError("--out is required")
-    dataset = generate_dataset(env_id, episodes, horizon, policy=policy, seed=seed)
-    write_jsonl(out, dataset)
+    dataset = generate_dataset(args.env, _or(args.episodes, env.default_episodes),
+                               _or(args.horizon, env.default_horizon),
+                               policy=args.policy, seed=args.seed)
+    write_jsonl(args.out, dataset)
     print(
-        f"wrote {len(dataset)} transitions to {out} "
-        f"(env={env_id}, n={dataset.n}, n_u={dataset.n_u}, seed={seed}, policy={policy})"
+        f"wrote {len(dataset)} transitions to {args.out} (env={args.env}, n={dataset.n}, "
+        f"n_u={dataset.n_u}, seed={args.seed}, policy={args.policy})"
     )
     return 0
 
@@ -106,39 +92,19 @@ def cmd_gen_data(args) -> int:
 # -- train ---------------------------------------------------------------------
 
 
-def _env_defaults(dataset) -> tuple[int, int]:
-    """Default update count and hidden width for the dataset's environment."""
+# Fitting settings that TrainConfig takes under the same name.
+_TRAIN_CONFIG_KEYS = ("batch_size", "updates", "eval_every", "test_fraction", "seed",
+                      "split_seed")
+
+
+def _fitting_settings(args, dataset):
+    """The shared fitting settings (echoed in metrics notes) and their
+    TrainConfig; the group and update count default to the dataset's env."""
     env = ENVS.get(dataset.env_id)
-    return (env.default_updates, env.default_hidden) if env else (TrainConfig.updates, 64)
-
-
-def _effective_train_settings(r, dataset):
-    """Resolved settings (echoed in metrics notes) and their TrainConfig."""
-    default_updates, default_hidden = _env_defaults(dataset)
-    symmetry = r.get("symmetry", "on")
-    if symmetry not in ("on", "off"):
-        raise ValueError(f"--symmetry must be 'on' or 'off', got {symmetry!r}")
-    s = {
-        "symmetry": symmetry == "on",
-        "group_id": r.get("group", dataset.env_id),
-        "mode": r.get("mode", "delta"),
-        "hidden": r.get("hidden", (default_hidden,), _parse_list),
-        "activation": r.get("activation", "relu"),
-        "lr": r.get("lr", TrainConfig.learning_rate, float),
-        "batch_size": r.get("batch_size", TrainConfig.batch_size, int),
-        "updates": r.get("updates", default_updates, int),
-        "eval_every": r.get("eval_every", TrainConfig.eval_every, int),
-        "test_fraction": r.get("test_fraction", TrainConfig.test_fraction, float),
-        "seed": r.get("seed", TrainConfig.seed, int),
-        "split_seed": r.get("split_seed", None, int),
-    }
-    if not s["hidden"]:
-        raise ValueError("--hidden must list at least one layer width")
-    return s, TrainConfig(
-        learning_rate=s["lr"], batch_size=s["batch_size"], updates=s["updates"],
-        eval_every=s["eval_every"], test_fraction=s["test_fraction"],
-        seed=s["seed"], split_seed=s["split_seed"],
-    )
+    s = {key: getattr(args, key) for key in ("mode", "activation", "lr", *_TRAIN_CONFIG_KEYS)}
+    s["group_id"] = _or(args.group, dataset.env_id)
+    s["updates"] = _or(args.updates, env.default_updates if env else TrainConfig.updates)
+    return s, TrainConfig(learning_rate=s["lr"], **{key: s[key] for key in _TRAIN_CONFIG_KEYS})
 
 
 def _build_model(dataset, settings, init_seed):
@@ -155,21 +121,23 @@ def _build_model(dataset, settings, init_seed):
 
 
 def cmd_train(args) -> int:
-    r = _Resolver(args)
-    data_path = r.get("data")
-    if data_path is None:
+    if args.data is None:
         raise ValueError("--data is required")
-    dataset = read_jsonl(data_path)
-    s, config = _effective_train_settings(r, dataset)
+    dataset = read_jsonl(args.data)
+    s, config = _fitting_settings(args, dataset)
+    s["symmetry"] = args.symmetry == "on"
+    s["hidden"] = _or(args.hidden, (default_hidden(dataset.env_id),))
+    if not s["hidden"]:
+        raise ValueError("--hidden must list at least one layer width")
     init_seed = derive_seed(s["seed"], "init")
     model = _build_model(dataset, s, init_seed)
     check_model_dataset(model, dataset)
     label = "sym" if s["symmetry"] else "base"
-    stem = str(Path(data_path).with_suffix(""))
-    out_model = r.get("out_model", f"{stem}_{label}.fdm")
-    out_metrics = r.get("out_metrics", f"{stem}_{label}_metrics.csv")
+    stem = str(Path(args.data).with_suffix(""))
+    out_model = _or(args.out_model, f"{stem}_{label}.fdm")
+    out_metrics = _or(args.out_metrics, f"{stem}_{label}_metrics.csv")
 
-    print(f"training {'symmetry' if s['symmetry'] else 'baseline'} model on {data_path}")
+    print(f"training {'symmetry' if s['symmetry'] else 'baseline'} model on {args.data}")
     print(f"model input dim: {model.input_dim}")
     print(f"model output dim: {model.output_dim}")
     print(f"hidden layers: {list(s['hidden'])} ({s['activation']}), "
@@ -209,17 +177,12 @@ def _compare_cell(dataset, settings, config):
 
 
 def cmd_compare(args) -> int:
-    r = _Resolver(args)
-    data_path = r.get("data")
-    out_dir = r.get("out_dir")
-    if data_path is None or out_dir is None:
+    if args.data is None or args.out_dir is None:
         raise ValueError("--data and --out-dir are required")
-    dataset = read_jsonl(data_path)
-    s, config = _effective_train_settings(r, dataset)
-    archs = r.get("archs", (1, 2, 3), _parse_list)
-    width = r.get("hidden_size", _env_defaults(dataset)[1], int)
-    runs = r.get("runs", 4, int)
-    workers = r.get("workers", 1, int)
+    dataset = read_jsonl(args.data)
+    s, config = _fitting_settings(args, dataset)
+    archs, runs, workers = args.archs, args.runs, args.workers
+    width = _or(args.hidden_size, default_hidden(dataset.env_id))
     if runs < 1:
         raise ValueError("--runs must be at least 1")
     if workers < 1:
@@ -231,7 +194,7 @@ def cmd_compare(args) -> int:
     check_model_dataset(_build_model(dataset, {**s, "symmetry": True, "hidden": (width,)}, 0),
                         dataset)
 
-    out = Path(out_dir)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = {}  # (layers, symmetry, seed) -> (settings, config)
     for layers in archs:
@@ -328,15 +291,10 @@ def _write_compare_reports(out, dataset, s, archs, width, runs, results, diverge
 
 
 def cmd_verify(args) -> int:
-    r = _Resolver(args)
-    suite = "all" if args.all else r.get("suite", "all")
-    seed = r.get("seed", 0, int)
-    samples = r.get("samples", 1000, int)
-    group_arg = r.get("group")
-    group_ids = _parse_list(group_arg, str) if group_arg else DEFAULT_GROUP_IDS
-    if not group_ids:
+    if not args.group:
         raise ValueError("--group must list at least one group id")
-    results = run_suites(suite=suite, group_ids=group_ids, seed=seed, samples=samples)
+    results = run_suites(suite="all" if args.all else args.suite, group_ids=args.group,
+                         seed=args.seed, samples=args.samples)
     print(format_results(results))
     ok = all(res.passed for res in results)
     print("verification:", "PASS" if ok else "FAIL")
@@ -346,52 +304,65 @@ def cmd_verify(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """argparse runs a string default (a config-file value) through its
+    option's type, but checks choices only on flags; check them here too."""
+
+    def _get_value(self, action, text):
+        value = super()._get_value(action, text)
+        if text is action.default:
+            self._check_value(action, value)
+        return value
+
+
+def build_parser(config=None) -> argparse.ArgumentParser:
+    """The CLI parser; ``config`` (from :func:`load_config`) sets defaults."""
+    parser = _Parser(
         prog="framedyn",
         description="Learn group-invariant dynamics models on canonical coordinates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Flags shared by subcommands, each declared once.
+    # Flags shared by subcommands, each declared once.  Defaults that depend
+    # on the environment are left unset (None) and resolved by the command.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--config")
     fitting = argparse.ArgumentParser(add_help=False)
     fitting.add_argument("--data")
     fitting.add_argument("--group")
-    fitting.add_argument("--mode", choices=MODES)
-    fitting.add_argument("--activation", choices=ACTIVATIONS)
-    fitting.add_argument("--lr", type=float)
-    fitting.add_argument("--batch-size", type=int)
+    fitting.add_argument("--mode", choices=MODES, default="delta")
+    fitting.add_argument("--activation", choices=ACTIVATIONS, default="relu")
+    fitting.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    fitting.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     fitting.add_argument("--updates", type=int)
-    fitting.add_argument("--eval-every", type=int)
-    fitting.add_argument("--test-fraction", type=float)
+    fitting.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
+    fitting.add_argument("--test-fraction", type=float, default=TrainConfig.test_fraction)
+    fitting.add_argument("--split-seed", type=int)
 
     p = sub.add_parser("gen-data", parents=[common],
                        help="simulate an environment and store transitions")
     p.add_argument("--env", choices=sorted(ENVS))
     p.add_argument("--episodes", type=int)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--policy", choices=POLICIES)
+    p.add_argument("--policy", choices=POLICIES, default="uniform-random")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", parents=[common, fitting], help="train one dynamics model")
-    p.add_argument("--symmetry", choices=("on", "off"))
+    p.add_argument("--symmetry", choices=("on", "off"), default="on")
     p.add_argument("--hidden", type=_parse_list,
                    help="comma-separated hidden widths, e.g. 128 or 128,128")
-    p.add_argument("--split-seed", type=int)
     p.add_argument("--out-model")
     p.add_argument("--out-metrics")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", parents=[common, fitting],
                        help="architecture grid with and without symmetry")
-    p.add_argument("--archs", type=_parse_list,
+    p.add_argument("--archs", type=_parse_list, default=(1, 2, 3),
                    help="comma-separated hidden layer counts, default 1,2,3")
     p.add_argument("--hidden-size", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--runs", type=int, default=4)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_compare)
 
@@ -399,17 +370,24 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group()
     which.add_argument("--all", action="store_true",
                        help="run every suite (default; overrides a config-file suite)")
-    which.add_argument("--suite", choices=sorted({"all", *SUITES, *SUITE_ALIASES}))
-    p.add_argument("--group", help="comma-separated group ids to check")
-    p.add_argument("--samples", type=int)
+    which.add_argument("--suite", choices=sorted({"all", *SUITES, *SUITE_ALIASES}),
+                       default="all")
+    p.add_argument("--group", type=lambda text: _parse_list(text, str),
+                   default=DEFAULT_GROUP_IDS, help="comma-separated group ids to check")
+    p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=cmd_verify)
+
+    for p in sub.choices.values():  # value-taking options only: never --all or --help
+        declared = {a.dest for a in p._actions if a.nargs != 0}
+        p.set_defaults(**{k: v for k, v in (config or {}).items() if k in declared})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.config is not None:  # again, with the file's lines as defaults
+            args = build_parser(load_config(args.config)).parse_args(argv)
         return args.func(args)
     except TrainingDivergedError as e:
         print(f"error: training diverged: {e}", file=sys.stderr)

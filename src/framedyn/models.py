@@ -135,6 +135,8 @@ class BaselineModel:
         self.output_dim = self.n
         _check_arity(regressor, self.input_dim, self.output_dim,
                      f"n + n_u = {self.input_dim}")
+        if self.n < 1 or self.n_u < 0:
+            raise ValueError(f"sizes must be n >= 1 and n_u >= 0, got n={n}, n_u={n_u}")
 
     def _encode(self, x, u, x_next=None):
         """Regressor inputs, the decode context (the state) and the targets."""

@@ -282,6 +282,14 @@ ENVS = {
 }
 
 
+DEFAULT_HIDDEN = 64  # hidden width for a dataset or group with no EnvSpec
+
+
+def default_hidden(env_id: str) -> int:
+    """Default hidden width for an environment (or a built-in env's group)."""
+    return ENVS[env_id].default_hidden if env_id in ENVS else DEFAULT_HIDDEN
+
+
 def get_env(env_id: str) -> EnvSpec:
     try:
         return ENVS[env_id]

@@ -323,6 +323,7 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
         raise ModelFormatError(
             f"{path}: model header field 'mode' must be one of {MODES}, got {mode!r}"
         )
+    n, n_u = field("n"), field("n_u")
     expected_id = group.group_id if isinstance(group, TransformationGroup) else group
     if kind == "symmetry":
         stored_id = field("group_id", str)
@@ -333,14 +334,18 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
             )
         try:  # an unknown id, or a group whose sizes do not fit the regressor
             grp = group if isinstance(group, TransformationGroup) else get_group(stored_id)
-            return SymmetryReducedModel(grp, regressor, mode=mode)
+            model = SymmetryReducedModel(grp, regressor, mode=mode)
         except ValueError as e:
             raise ModelFormatError(f"{path}: model header field 'group_id': {e}") from e
+        for name, stored, size in (("n", n, grp.n), ("n_u", n_u, grp.n_u)):
+            if stored != size:
+                raise ModelFormatError(f"{path}: model header field '{name}' is {stored}, "
+                                       f"but group '{stored_id}' has {name} = {size}")
+        return model
     if expected_id is not None:
         raise ModelFormatError(
             f"{path}: baseline model carries no group, but '{expected_id}' was requested"
         )
-    n, n_u = field("n"), field("n_u")
     try:  # sizes that do not fit the regressor
         return BaselineModel(n, n_u, regressor, mode=mode)
     except ValueError as e:

@@ -19,7 +19,7 @@ from .groups import TransformationGroup
 from .mlp import Mlp, MlpSpec
 from .models import SymmetryReducedModel
 from .rng import Rng, derive_seed, uniform_rows
-from .sim import get_env
+from .sim import default_hidden, get_env
 from .training import build_symmetry_model
 
 TOL_ALGEBRA = 1e-9
@@ -119,10 +119,6 @@ def check_reconstruction_roundtrip(group: TransformationGroup, seed: int = 0, sa
                        idx, seed)
 
 
-def _arch_width(group_id: str) -> int:
-    return 128 if group_id == "parking2" else 64
-
-
 def check_model_invariance(group: TransformationGroup, seed: int = 0, samples: int = 1000) -> SuiteResult:
     """Transforming the inputs transforms the prediction: for randomly
     initialized regressors on canonical coordinates (every architecture,
@@ -134,7 +130,7 @@ def check_model_invariance(group: TransformationGroup, seed: int = 0, samples: i
     g = group.random_element(rng, size=samples)
     gx = group.act_state(g, x)
     gu = group.act_control(g, u)
-    width = _arch_width(group.group_id)
+    width = default_hidden(group.group_id)
     worst = (0.0, -1)
     for layers in LAYER_COUNTS:
         for mode in ("delta", "absolute"):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from framedyn import cli
 from framedyn.cli import build_parser, load_config, main
 from framedyn.dataset import read_jsonl, write_jsonl
 from framedyn.training import read_metrics_csv
@@ -278,6 +279,18 @@ class TestCompare:
             finals.append(records[-1].test_mse)
         assert finals[0] != finals[1]
 
+    def test_split_seed_flag_matches_config_line(self, dataset_path, tmp_path):
+        cfg = tmp_path / "split.cfg"
+        cfg.write_text("split_seed = 5\n")
+        runs = []
+        for name, extra in (("flag", ["--split-seed", "5"]), ("config", ["--config", str(cfg)])):
+            assert run(["compare", "--data", str(dataset_path), *extra, "--archs", "1",
+                        "--hidden-size", "8", "--runs", "1", "--updates", "10",
+                        "--eval-every", "10", "--out-dir", str(tmp_path / name)]) == 0
+            records, note = read_metrics_csv(tmp_path / name / "parking2_h1_base_s0.csv")
+            runs.append(([(r.train_mse, r.test_mse) for r in records], note))
+        assert runs[0] == runs[1] and runs[0][1]["split_seed"] == 5
+
     def test_negative_workers_fail_before_any_file(self, dataset_path, tmp_path, capsys):
         out_dir = tmp_path / "cmp"
         assert run(["compare", "--data", str(dataset_path), "--workers", "-3",
@@ -359,8 +372,8 @@ OPTION_SURFACE = {
               "--updates", "-h"],
     "compare": ["--activation", "--archs", "--batch-size", "--config", "--data",
                 "--eval-every", "--group", "--help", "--hidden-size", "--lr", "--mode",
-                "--out-dir", "--runs", "--seed", "--test-fraction", "--updates",
-                "--workers", "-h"],
+                "--out-dir", "--runs", "--seed", "--split-seed", "--test-fraction",
+                "--updates", "--workers", "-h"],
     "verify": ["--all", "--config", "--group", "--help", "--samples", "--seed", "--suite",
                "-h"],
 }
@@ -412,3 +425,80 @@ class TestConfigFile:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("a = 1\nb-dash = two\n\n# comment\n")
         assert load_config(cfg) == {"a": "1", "b_dash": "two"}
+
+
+def parsed(monkeypatch, argv) -> dict:
+    """The namespace ``main`` hands to the command (less ``func``), without
+    running the command."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"),
+                        lambda args: seen.append(vars(args)) or 0)
+    assert main(argv) == 0
+    del seen[0]["func"]
+    return seen[0]
+
+
+# One valid, non-default value for every value-taking option, by dest.
+OPTION_VALUES = {
+    "seed": "5", "env": "reacher", "episodes": "3", "horizon": "4",
+    "policy": "scripted-goal-seek", "out": "x.jsonl", "data": "d.jsonl", "group": "reacher",
+    "mode": "absolute", "activation": "tanh", "lr": "0.5", "batch_size": "7",
+    "updates": "9", "eval_every": "3", "test_fraction": "0.25", "split_seed": "11",
+    "symmetry": "off", "hidden": "4, 5", "out_model": "m.fdm", "out_metrics": "m.csv",
+    "archs": "2, 3", "hidden_size": "6", "runs": "2", "workers": "3", "out_dir": "o",
+    "suite": "axioms", "samples": "12",
+}
+VALUE_OPTIONS = [(name, action.option_strings[-1], action.dest)
+                 for name, p in _subparsers(build_parser()).items()
+                 for action in p._actions if action.nargs != 0 and action.dest != "config"]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command, flag, dest", VALUE_OPTIONS,
+                             ids=[f"{c}{f}" for c, f, _ in VALUE_OPTIONS])
+    def test_config_value_parses_like_its_flag(self, tmp_path, monkeypatch, command,
+                                               flag, dest):
+        value = OPTION_VALUES[dest]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        from_flag = parsed(monkeypatch, [command, flag, value])
+        from_config = parsed(monkeypatch, [command, "--config", str(cfg)])
+        assert from_config.pop("config") == str(cfg) and from_flag.pop("config") is None
+        assert from_config == from_flag
+        assert from_flag[dest] != parsed(monkeypatch, [command])[dest]
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("gen-data", "episodes", "abc"), ("gen-data", "env", "lander"),
+        ("train", "lr", "fast"), ("train", "hidden", "8, x"), ("train", "mode", "weird"),
+        ("train", "symmetry", "maybe"), ("compare", "runs", "1.5"),
+        ("verify", "suite", "nonsense"), ("verify", "samples", "many"),
+    ])
+    def test_bad_config_value_is_the_flags_usage_error(self, tmp_path, capsys, command,
+                                                        key, value):
+        errors = []
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        for argv in ([command, f"--{key}", value], [command, "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[1].count("error:") == 1
+        assert errors[1].splitlines()[-1].startswith(
+            f"framedyn {command}: error: argument --{key}: invalid ")
+
+    def test_config_all_line_is_ignored(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("all = true\nsuite = axioms\n")
+        args = parsed(monkeypatch, ["verify", "--config", str(cfg)])
+        assert (args["all"], args["suite"]) == (False, "axioms")
+
+    def test_keys_naming_no_option_of_the_subcommand_are_ignored(self, tmp_path,
+                                                                 monkeypatch):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("symmetry = maybe\nhidden = ,\nepisodes = abc\nfunc = x\n"
+                       "command = train\nnonsense = 1\n")
+        args = parsed(monkeypatch, ["compare", "--config", str(cfg)])  # runs args.func
+        assert args["command"] == "compare"
+        assert not {"symmetry", "hidden", "episodes", "nonsense"} & set(args)

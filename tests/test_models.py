@@ -170,6 +170,16 @@ def test_baseline_arity_validation():
         model.predict(np.zeros(4), np.zeros(3))
 
 
+@pytest.mark.parametrize("n, n_u, regressor", [
+    (24, -1, Mlp.from_spec(MlpSpec(input_dim=23, output_dim=24))),  # arities fit n + n_u
+    (0, 3, lambda z: z),  # a regressor with no declared arity
+])
+def test_baseline_sizes_below_range_rejected(n, n_u, regressor):
+    with pytest.raises(ValueError, match=f"sizes must be n >= 1 and n_u >= 0, "
+                                         f"got n={n}, n_u={n_u}"):
+        BaselineModel(n, n_u, regressor)
+
+
 @pytest.mark.parametrize("kind", ["sym", "base"])
 def test_mismatched_next_state_is_rejected(kind, parking_group, small_parking_dataset):
     # One next state for five transitions used to broadcast into five targets.

@@ -332,13 +332,12 @@ class TestModelPersistence:
             load_model(path)
 
     @staticmethod
-    def _saved_with_header_edit(tmp_path, group, field, edit):
-        """A saved model file whose header ``field`` (dotted) went through
-        ``edit(parent_dict, key)``: a baseline for ``n``/``n_u``, which only
-        baseline headers are read for, else a symmetry model."""
+    def _saved_with_header_edit(tmp_path, group, field, edit, baseline=False):
+        """A saved model file (a symmetry model unless ``baseline``) whose
+        header ``field`` (dotted) went through ``edit(parent_dict, key)``."""
         path = tmp_path / "m.fdm"
         save_model(path, build_baseline_model(group.n, group.n_u, [8], seed=1)
-                   if field in ("n", "n_u") else build_symmetry_model(group, [8], seed=1))
+                   if baseline else build_symmetry_model(group, [8], seed=1))
         header, _, rest = path.read_bytes().partition(b"\n")
         doc = json.loads(header)
         *parents, key = field.split(".")
@@ -377,11 +376,17 @@ class TestModelPersistence:
         ("n_u", 7, "n'/'n_u", "(n=24, n_u=7): regressor input arity 28 does not match"),
         ("n", -1, "n'/'n_u", "(n=-1, n_u=4): regressor input arity 28 does not match"),
         ("n", 0, "n'/'n_u", "(n=0, n_u=4): regressor input arity 28 does not match"),
+        # A symmetry header names the one size that differs from its group's.
+        ("n", 5, "n", "is 5, but group 'parking2' has n = 24"),
+        ("n_u", 99, "n_u", "is 99, but group 'parking2' has n_u = 4"),
+        ("n", True, "n", "must be an integer"),
     ])
     def test_wrong_header_field_rejected(self, tmp_path, parking_group, field, value,
                                          named, message):
+        # Only a baseline model's sizes are checked against its MLP, as a pair.
         path = self._saved_with_header_edit(
-            tmp_path, parking_group, field, lambda obj, key: obj.__setitem__(key, value))
+            tmp_path, parking_group, field, lambda obj, key: obj.__setitem__(key, value),
+            baseline=named == "n'/'n_u")
         with pytest.raises(ModelFormatError,
                            match=f"{re.escape(str(path))}: model header field "
                                  f"'{re.escape(named)}'.*{re.escape(message)}"):
