@@ -64,12 +64,12 @@ def _parse_list(text, item=int) -> tuple:
     return tuple(item(v.strip()) for v in text.split(",") if v.strip())
 
 
-# -- gen-data ------------------------------------------------------------------
-
-
 def _or(value, default):
     """``value`` unless the option was left unset (None)."""
     return default if value is None else value
+
+
+# -- gen-data ------------------------------------------------------------------
 
 
 def cmd_gen_data(args) -> int:
