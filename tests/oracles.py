@@ -8,7 +8,8 @@ action with the b-projection, and frame inverses through the group inverse.
 flat parameter vector must reproduce bit for bit, :func:`train_per_update` the
 training loop (one index draw, fancy-index gathers and ``np.mean`` loss per
 update) whose records and parameters ``train`` must reproduce,
-:func:`write_jsonl_per_float`
+:func:`observation_mse_whole_split` the one-pass split scorer whose value the
+row-blocked ``observation_mse`` must reproduce, :func:`write_jsonl_per_float`
 is the dataset writer whose bytes the state-reusing writer must reproduce, and
 :func:`read_jsonl_per_line` the dataset reader whose arrays and errors the
 state-reusing reader must reproduce.
@@ -129,6 +130,14 @@ def train_per_update(model, dataset, config):
             if update % config.eval_every == 0 or update == config.updates:
                 record(update)
     return records
+
+
+def observation_mse_whole_split(model, dataset, indices):
+    """``training.observation_mse`` as one forward, one decode and one mean
+    over the whole split."""
+    inputs, context, _, x_next = training._encode_split(model, dataset, indices)
+    pred = model._decode(context, model.regressor(inputs))
+    return float(np.mean((pred - x_next) ** 2))
 
 
 def write_jsonl_per_float(path, dataset):

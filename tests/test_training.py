@@ -160,6 +160,45 @@ def test_every_record_equals_plain_observation_mse(
     assert evaluated == [v for r in records for v in (r.train_mse, r.test_mse)]
 
 
+@pytest.mark.parametrize("mode", ["delta", "absolute"])
+@pytest.mark.parametrize("method", ["sym", "base"])
+@pytest.mark.parametrize("env", ["parking2", "reacher"])
+def test_row_blocks_score_like_the_whole_split(
+    monkeypatch, env, method, mode, small_parking_dataset, small_reacher_dataset
+):
+    # Splits of one row, of whole blocks and of a block plus one row (a tail
+    # that is folded into the block before it) score bit for bit like one
+    # pass over the whole split.
+    rows_per_block = 7
+    monkeypatch.setattr(training, "_EVAL_ROWS", rows_per_block, raising=False)
+    ds = small_parking_dataset if env == "parking2" else small_reacher_dataset
+    if method == "sym":
+        model = build_symmetry_model(get_group(env), [32, 32], seed=2, mode=mode)
+    else:
+        model = build_baseline_model(ds.n, ds.n_u, [32, 32], seed=2, mode=mode)
+    b = rows_per_block
+    for rows in (1, 2, b - 1, b, b + 1, 2 * b, 2 * b + 1):
+        indices = Rng(rows).permutation(len(ds))[:rows]
+        expected = oracles.observation_mse_whole_split(model, ds, indices).hex()
+        encoded = training._encode_split(model, ds, indices)
+        assert observation_mse(model, ds, indices).hex() == expected, rows
+        assert observation_mse(model, ds, indices, encoded).hex() == expected, rows
+
+
+@pytest.mark.parametrize("method", ["sym", "base"])
+def test_row_blocks_at_the_module_constant(method, default_parking_dataset):
+    # More than two blocks of the real size, ending in a one-row tail.
+    ds = default_parking_dataset
+    rows = 2 * getattr(training, "_EVAL_ROWS", 2048) + 1
+    if method == "sym":
+        model = build_symmetry_model(get_group("parking2"), [128, 128], seed=4)
+    else:
+        model = build_baseline_model(ds.n, ds.n_u, [128, 128], seed=4)
+    indices = Rng(9).permutation(len(ds))[:rows]
+    assert (observation_mse(model, ds, indices).hex()
+            == oracles.observation_mse_whole_split(model, ds, indices).hex())
+
+
 def test_train_frames_each_transition_once(monkeypatch, small_parking_dataset):
     # The train and test splits are encoded once each; nothing else frames.
     ds = small_parking_dataset
