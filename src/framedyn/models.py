@@ -15,6 +15,8 @@ usual choice).
 
 ``predict`` and ``training_target`` share one private encode path per model
 that validates the inputs once (next states must have the states' shape).
+Its decode context is a tuple of per-row arrays for both models, so a caller
+can score any block of rows by slicing each of them.
 The symmetry model's path then works on the group's raw coordinate maps:
 one moving frame and one framed state per call.
 
@@ -139,7 +141,8 @@ class BaselineModel:
             raise ValueError(f"sizes must be n >= 1 and n_u >= 0, got n={n}, n_u={n_u}")
 
     def _encode(self, x, u, x_next=None):
-        """Regressor inputs, the decode context (the state) and the targets."""
+        """Regressor inputs, the decode context (a tuple of the state) and
+        the targets."""
         xv = np.asarray(x, dtype=np.float64)
         uv = np.asarray(u, dtype=np.float64)
         if xv.shape[-1] != self.n:
@@ -152,9 +155,10 @@ class BaselineModel:
             if xn.shape != xv.shape:
                 raise ValueError(f"next state shape {xn.shape} differs from state {xv.shape}")
             targets = xn if self.mode == "absolute" else xn - xv
-        return np.concatenate([xv, uv], axis=-1), xv, targets
+        return np.concatenate([xv, uv], axis=-1), (xv,), targets
 
-    def _decode(self, xv, out) -> np.ndarray:
+    def _decode(self, context, out) -> np.ndarray:
+        (xv,) = context
         out = np.asarray(out, dtype=np.float64)
         if out.shape[-1] != self.n:
             raise ValueError(f"regressor returned arity {out.shape[-1]}, expected {self.n}")
@@ -163,8 +167,8 @@ class BaselineModel:
         return xv + out
 
     def predict(self, x, u) -> np.ndarray:
-        inputs, xv, _ = self._encode(x, u)
-        return self._decode(xv, self.regressor(inputs))
+        inputs, context, _ = self._encode(x, u)
+        return self._decode(context, self.regressor(inputs))
 
     def training_target(self, x, u, x_next) -> tuple[np.ndarray, np.ndarray]:
         inputs, _, targets = self._encode(x, u, x_next)

@@ -6,7 +6,10 @@ coordinates for the symmetry model, raw concatenation for the baseline) for
 fitting with mean-squared error and Adam on the flat parameter vector, and
 the decode context for metrics.  Reported metrics are always computed in the
 original state coordinates by running the full one-step prediction, so
-symmetry and baseline models are scored in the same space.
+symmetry and baseline models are scored in the same space.  A split is scored
+in row blocks, bit-identical to one pass over it, so the memory of an
+evaluation beyond the split's error array is bounded by block size times
+hidden width.
 
 Determinism contract: given the same dataset, model seed and config, the
 metric sequence is bit-identical (wall times excepted).  Three independent
@@ -41,6 +44,9 @@ METRICS_HEADER = "update,train_mse,test_mse,wall_time_s"
 # Batch indices are drawn for at most this many updates in one Rng call, so
 # the index block stays small whatever ``updates`` and ``eval_every`` are.
 _DRAW_UPDATES = 256
+# Rows scored per regressor forward in an evaluation: at width 128 a block's
+# hidden activation is 2 MB, whatever the split size.
+_EVAL_ROWS = 2048
 
 
 class TrainingDivergedError(RuntimeError):
@@ -116,10 +122,24 @@ def _encode_split(model, dataset: TransitionDataset, indices):
 
 def observation_mse(model, dataset: TransitionDataset, indices, encoded=None) -> float:
     """Mean squared one-step prediction error in original coordinates;
-    ``encoded`` is the ``_encode_split`` of ``indices`` when already known."""
+    ``encoded`` is the ``_encode_split`` of ``indices`` when already known.
+
+    The split is predicted ``_EVAL_ROWS`` rows at a time into one error
+    array, which is then squared and averaged as a whole: the same bits as
+    one pass over the split, with the regressor's memory bounded by a block.
+    """
     inputs, context, _, x_next = encoded or _encode_split(model, dataset, indices)
-    pred = model._decode(context, model.regressor(inputs))
-    return float(np.mean((pred - x_next) ** 2))
+    err = np.empty_like(x_next)
+    rows, stop = len(x_next), 0
+    while stop < rows:
+        start, stop = stop, min(rows, stop + _EVAL_ROWS)
+        if rows - stop == 1:  # one row would take numpy's GEMV path, which rounds differently
+            stop = rows
+        block = slice(start, stop)
+        pred = model._decode(tuple(c[block] for c in context), model.regressor(inputs[block]))
+        np.subtract(pred, x_next[block], out=err[block])
+    err *= err
+    return float(np.mean(err))
 
 
 def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[MetricRecord]:

@@ -189,7 +189,7 @@ def test_row_blocks_score_like_the_whole_split(
 def test_row_blocks_at_the_module_constant(method, default_parking_dataset):
     # More than two blocks of the real size, ending in a one-row tail.
     ds = default_parking_dataset
-    rows = 2 * getattr(training, "_EVAL_ROWS", 2048) + 1
+    rows = 2 * training._EVAL_ROWS + 1
     if method == "sym":
         model = build_symmetry_model(get_group("parking2"), [128, 128], seed=4)
     else:
@@ -197,6 +197,29 @@ def test_row_blocks_at_the_module_constant(method, default_parking_dataset):
     indices = Rng(9).permutation(len(ds))[:rows]
     assert (observation_mse(model, ds, indices).hex()
             == oracles.observation_mse_whole_split(model, ds, indices).hex())
+
+
+def test_scoring_memory_is_bounded_by_a_block(default_parking_dataset):
+    # The default 18,000-row parking2 train split at width 128: one scoring
+    # call must never hold the whole split's hidden activation, only the
+    # split's error array and a block's worth of regressor work.
+    import tracemalloc
+
+    ds = default_parking_dataset
+    train_idx, _ = train_test_split(len(ds), 0.1, 0)
+    assert len(train_idx) == 18_000
+    model = build_symmetry_model(get_group("parking2"), [128], seed=4)
+    encoded = training._encode_split(model, ds, train_idx)
+    observation_mse(model, ds, train_idx, encoded)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        observation_mse(model, ds, train_idx, encoded)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 18_000 * 128 * 8
+    assert peak < encoded[3].nbytes + 2 * training._EVAL_ROWS * 128 * 8
 
 
 def test_train_frames_each_transition_once(monkeypatch, small_parking_dataset):
