@@ -71,7 +71,7 @@ class TransitionDataset:
         for v in (self.n, self.n_u, self.seed, len(self)):
             h.update(int(v).to_bytes(8, "little", signed=True))
         for arr in (self.x, self.u, self.x_next):
-            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(arr, dtype="<f8").data)
         return int.from_bytes(h.digest()[:8], "little")
 
 

@@ -543,3 +543,12 @@ class TestJsonl:
         b = generate_dataset("reacher", episodes=2, horizon=5, seed=2)
         assert a.content_hash() == generate_dataset("reacher", 2, 5, seed=1).content_hash()
         assert a.content_hash() != b.content_hash()
+
+    def test_content_hash_ignores_memory_layout(self):
+        # Strided and Fortran-ordered arrays hash like their contiguous copies.
+        base = np.arange(60.0).reshape(10, 6)
+        x, u, xn = base[:, ::2], base[::-1, 1:3], np.asfortranarray(base[:, 3:])
+        views = TransitionDataset(env_id="toy", n=3, n_u=2, seed=0, x=x, u=u, x_next=xn)
+        copies = TransitionDataset(env_id="toy", n=3, n_u=2, seed=0, x=x.copy(),
+                                   u=u.copy(), x_next=np.ascontiguousarray(xn))
+        assert views.content_hash() == copies.content_hash()
