@@ -165,7 +165,19 @@ def _metrics_note(settings, dataset) -> dict:
 # -- compare -------------------------------------------------------------------
 
 
-def _compare_cell(dataset, settings, config):
+# A compare worker's dataset, set once per process by the pool initializer
+# so that each cell's task carries only its settings.
+_worker_dataset = None
+
+
+def _init_compare_worker(dataset):
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _compare_cell(settings, config, dataset=None):
+    if dataset is None:
+        dataset = _worker_dataset
     layers = len(settings["hidden"])
     init_seed = derive_seed(config.seed, "init", layers, int(settings["symmetry"]))
     model = _build_model(dataset, settings, init_seed)
@@ -213,14 +225,15 @@ def cmd_compare(args) -> int:
     )
     results = {}
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_compare_cell, dataset, *cell): key
-                       for key, cell in cells.items()}
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_compare_worker,
+                initargs=(dataset,)) as pool:
+            futures = {pool.submit(_compare_cell, *cell): key for key, cell in cells.items()}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()
     else:
         for key, cell in cells.items():
-            results[key] = _compare_cell(dataset, *cell)
+            results[key] = _compare_cell(*cell, dataset)
 
     diverged = []
     for (layers, symmetry, seed), (settings, _) in cells.items():

@@ -10,7 +10,7 @@ import pytest
 
 from framedyn import cli
 from framedyn.cli import build_parser, load_config, main
-from framedyn.dataset import read_jsonl, write_jsonl
+from framedyn.dataset import TransitionDataset, read_jsonl, write_jsonl
 from framedyn.training import read_metrics_csv
 
 
@@ -247,6 +247,25 @@ class TestCompare:
         assert run(["compare", "--data", str(dataset_path), *kwargs,
                     "--workers", "2", "--out-dir", str(d2)]) == 0
         assert (d1 / "summary.csv").read_text() == (d2 / "summary.csv").read_text()
+
+    def test_worker_tasks_carry_no_dataset(self, dataset_path, tmp_path, monkeypatch):
+        # Each worker gets the dataset once, through its pool initializer.
+        import concurrent.futures
+
+        submitted = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append((*args, *kwargs.values()))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        assert run(["compare", "--data", str(dataset_path), "--archs", "1",
+                    "--hidden-size", "8", "--runs", "2", "--updates", "10",
+                    "--eval-every", "10", "--workers", "2",
+                    "--out-dir", str(tmp_path / "cmp")]) == 0
+        assert len(submitted) == 4
+        assert not any(isinstance(a, TransitionDataset) for args in submitted for a in args)
 
     def test_dataset_is_read_once(self, dataset_path, tmp_path, monkeypatch):
         from framedyn import cli
