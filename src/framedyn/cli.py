@@ -176,8 +176,7 @@ def _init_compare_worker(dataset):
 
 
 def _compare_cell(settings, config, dataset=None):
-    if dataset is None:
-        dataset = _worker_dataset
+    dataset = _worker_dataset if dataset is None else dataset
     layers = len(settings["hidden"])
     init_seed = derive_seed(config.seed, "init", layers, int(settings["symmetry"]))
     model = _build_model(dataset, settings, init_seed)

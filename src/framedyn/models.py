@@ -15,10 +15,10 @@ usual choice).
 
 ``predict`` and ``training_target`` share one private encode path per model
 that validates the inputs once (next states must have the states' shape).
-Its decode context is a tuple of per-row arrays for both models, so a caller
-can score any block of rows by slicing each of them.
 The symmetry model's path then works on the group's raw coordinate maps:
-one moving frame and one framed state per call.
+one moving frame and one framed state per call.  For both models the decode
+context is a tuple of per-row arrays, so a caller can decode any block of
+rows by slicing each of them.
 
 Predictions are returned exactly as the regressor produces them; unit-norm
 pairs (headings, joint directions) are not renormalized, so repeated rollout

@@ -169,14 +169,13 @@ def test_row_blocks_score_like_the_whole_split(
     # Splits of one row, of whole blocks and of a block plus one row (a tail
     # that is folded into the block before it) score bit for bit like one
     # pass over the whole split.
-    rows_per_block = 7
-    monkeypatch.setattr(training, "_EVAL_ROWS", rows_per_block, raising=False)
+    b = 7  # rows per block
+    monkeypatch.setattr(training, "_EVAL_ROWS", b)
     ds = small_parking_dataset if env == "parking2" else small_reacher_dataset
     if method == "sym":
         model = build_symmetry_model(get_group(env), [32, 32], seed=2, mode=mode)
     else:
         model = build_baseline_model(ds.n, ds.n_u, [32, 32], seed=2, mode=mode)
-    b = rows_per_block
     for rows in (1, 2, b - 1, b, b + 1, 2 * b, 2 * b + 1):
         indices = Rng(rows).permutation(len(ds))[:rows]
         expected = oracles.observation_mse_whole_split(model, ds, indices).hex()
@@ -219,7 +218,8 @@ def test_scoring_memory_is_bounded_by_a_block(default_parking_dataset):
     finally:
         tracemalloc.stop()
     assert peak < 18_000 * 128 * 8
-    assert peak < encoded[3].nbytes + 2 * training._EVAL_ROWS * 128 * 8
+    x_next = encoded[3]
+    assert peak < x_next.nbytes + 2 * training._EVAL_ROWS * 128 * 8
 
 
 def test_train_frames_each_transition_once(monkeypatch, small_parking_dataset):
