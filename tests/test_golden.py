@@ -144,6 +144,31 @@ GOLDEN_PREDICT_DIGESTS = {
     ("reacher", "absolute"): ("12ec27682f00db57", "9b9df2339443dfd1"),
 }
 
+# Input sizes of the canonicalization goldens: one state, a batch of one, a
+# batch, and a (3, 5) grid of states.
+CANONICAL_SIZES = {"single": None, "one": 1, "batch": 64, "grid": (3, 5)}
+
+# (group, CANONICAL_SIZES key) -> sha256 prefixes of the moving frame, the
+# framed state, the inverse frame and reduce(x) of the group's random states.
+GOLDEN_CANONICAL_DIGESTS = {
+    ("se2car", "single"): ("f5c9a8a46e003e01", "b2d864c76779af54", "79df82d85b3873f8", "f93f9b087caad927"),
+    ("se2car", "one"): ("1d1dc7cfb9c63d9e", "7eff1020af88a540", "97a5b3cf82f13389", "b183f48063ae8c22"),
+    ("se2car", "batch"): ("98079a5fc0ec9aa9", "ae1ee4103f60f52f", "4e698592c3dd46a4", "592f4802bd3b7178"),
+    ("se2car", "grid"): ("78bc89fdb9c23ae2", "c02fc70b80977c5d", "c9380f6b369a7019", "5b30c738ad220488"),
+    ("const:6", "single"): ("cf52c98cf83810bd", "17b0761f87b081d5", "560ec45ae28ca422", "e3b0c44298fc1c14"),
+    ("const:6", "one"): ("c5162f9f52a5420b", "17b0761f87b081d5", "78f030727b5a621f", "e3b0c44298fc1c14"),
+    ("const:6", "batch"): ("fbc2f01d64c4c64d", "e80232b4d18d0bb7", "9cb344046959638e", "e3b0c44298fc1c14"),
+    ("const:6", "grid"): ("b026aa35d62c0733", "fe2f74a1e0b16a66", "b4db1735b8606f57", "e3b0c44298fc1c14"),
+    ("parking2", "single"): ("31c3ca966486d1d0", "c42db56c27d26b71", "780dbb536b692245", "7206451119b770b5"),
+    ("parking2", "one"): ("785f574ff89aec98", "90191b4035ff550e", "09ca2ae501ceb2a4", "c2f734503412cfd6"),
+    ("parking2", "batch"): ("6968a704473bd202", "8bd560a9b055beac", "93ea089cecf65408", "c51442676eafce91"),
+    ("parking2", "grid"): ("39829aa659681e4e", "0f46189564fec077", "04ff3abe757b432d", "9c63ca1e283434e0"),
+    ("reacher", "single"): ("843269a5aecfc57d", "b96c2b50895e9dcc", "ef4c860cb485f282", "02655444457694f5"),
+    ("reacher", "one"): ("2938363ce69a327f", "d5f841a14c4e8324", "880755087c1486f3", "9dc0709fa3a76604"),
+    ("reacher", "batch"): ("9bbeeba771e6df94", "0f9b62b86ec73dd6", "fb0b3116a099a2c1", "2f3bef3fa5371ac8"),
+    ("reacher", "grid"): ("a95d9386100f7d66", "f542af055d5ca1e9", "b1f2faff2ab061bd", "d15af57e444244f0"),
+}
+
 # run_suites("all") at seed 0: (suite, subject, max_error as float hex).
 GOLDEN_VERIFY_MAX_ERRORS = [
     ("axioms", "se2car", "0x1.b000000000000p-48"),
@@ -317,6 +342,25 @@ def test_untrained_predict_is_golden(key):
     batched = model.predict(x, u)
     rows = np.stack([model.predict(x[i], u[i]) for i in range(64)])
     assert (_digest(batched), _digest(rows)) == GOLDEN_PREDICT_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CANONICAL_DIGESTS), ids=lambda k: "-".join(k))
+def test_canonicalization_is_golden(key):
+    group_id, size_key = key
+    group = get_group(group_id)
+    size = CANONICAL_SIZES[size_key]
+    rng = Rng(derive_seed(0, "golden-canonical", group_id, size_key))
+    if isinstance(size, tuple):
+        x = group.random_state(rng, size=int(np.prod(size))).reshape(size + (group.n,))
+    else:
+        x = group.random_state(rng, size=size)
+    frame = group.moving_frame(x)
+    parts = (frame.coords, group.act_state(frame, x), group.inverse(frame).coords,
+             group.reduce(x))
+    batch = x.shape[:-1]
+    assert [p.shape for p in parts] == [batch + (group.r,), batch + (group.n,),
+                                        batch + (group.r,), batch + (group.b_dim,)]
+    assert tuple(_digest(p) for p in parts) == GOLDEN_CANONICAL_DIGESTS[key]
 
 
 def test_verify_max_errors_are_golden():

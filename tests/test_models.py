@@ -7,7 +7,8 @@ from framedyn.models import BaselineModel, SymmetryReducedModel
 from framedyn.rng import Rng, derive_seed
 from framedyn.sim import parking_step, reacher_step
 from framedyn.training import build_baseline_model, build_symmetry_model
-from conftest import HeadingRotationGroup
+from framedyn.verify import check_model_invariance
+from conftest import HeadingRotationGroup, WrongFrameCar, WrongInverseCar
 
 
 def _random_model(group, mode, layers=1, width=32, seed=0):
@@ -40,6 +41,23 @@ def test_prediction_commutes_for_rotation_only_group():
         rhs = group.act_state(g, model.predict(x, u))
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
+
+
+@pytest.mark.parametrize("group_cls", [WrongInverseCar, WrongFrameCar])
+def test_model_invariance_fails_for_broken_raw_maps(group_cls):
+    # The model path goes through the group's overridable raw maps, so a
+    # wrong inverse or a wrong frame breaks invariance.
+    result = check_model_invariance(group_cls(), seed=0, samples=200)
+    assert not result.passed and result.max_error > 1.0
+
+
+@pytest.mark.parametrize("gid", ["se2car", "parking2", "reacher"])
+def test_empty_batch_predicts_and_reduces_to_empty_rows(gid):
+    group = get_group(gid)
+    x, u = np.zeros((0, group.n)), np.zeros((0, group.n_u))
+    assert group.reduce(x).shape == (0, group.b_dim)
+    for mode in ("delta", "absolute"):
+        assert _random_model(group, mode).predict(x, u).shape == (0, group.n)
 
 @pytest.mark.parametrize("gid", ["se2car", "parking2", "reacher"])
 def test_reconstruction_regressor_gives_identity_dynamics(gid):
