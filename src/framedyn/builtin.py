@@ -91,13 +91,14 @@ class SE2CarGroup(TransformationGroup):
         return out
 
     def _act_state(self, c, x):
-        cos, sin = np.cos(c[..., 2]), np.sin(c[..., 2])
-        py, pz = _rotate(cos, sin, x[..., 0], x[..., 1])
-        out = np.empty(py.shape + (6,))
-        out[..., 0] = py + c[..., 0]
-        out[..., 1] = pz + c[..., 1]
-        out[..., 2], out[..., 3] = _rotate(cos, sin, x[..., 2], x[..., 3])
-        out[..., 4], out[..., 5] = _rotate(cos, sin, x[..., 4], x[..., 5])
+        # The position, velocity and heading pairs rotate as one (..., 3) block
+        # of first and one of second coordinates; then the position translates.
+        cos, sin = np.cos(c[..., 2:]), np.sin(c[..., 2:])
+        first, second = _rotate(cos, sin, x[..., 0::2], x[..., 1::2])
+        out = np.empty(first.shape[:-1] + (6,))
+        out[..., 0::2] = first
+        out[..., 1::2] = second
+        out[..., :2] += c[..., :2]
         return out
 
     def _moving_frame(self, x):
@@ -254,7 +255,8 @@ class ProductGroup(TransformationGroup):
 
     A run of k consecutive identical factors (same class and id) is applied
     as one factor call on ``(..., k, width)`` views; the maps are elementwise,
-    so the bits equal those of one call per factor.
+    so the bits equal those of one call per factor.  ``_canonical`` makes one
+    factor ``_canonical`` call per run.
     """
 
     def __init__(self, group_id: str, factors):
@@ -270,9 +272,11 @@ class ProductGroup(TransformationGroup):
             a_indices.extend(n + group.a_indices)
             angular.extend(r + a for a in group.angular_coords)
             n, n_u, r = n + group.n, n_u + group.n_u, r + group.r
-        # (group, k, state slice, control slice, coordinate slice)
-        self._runs = [(g, k, slice(s, s + k * g.n), slice(c, c + k * g.n_u),
-                       slice(o, o + k * g.r)) for g, k, s, c, o in runs]
+        # (group, k, state block, control block, coordinate block); a block is
+        # its slice of the joint axis and the (k, width) shape of its view.
+        self._runs = [(g, k, (slice(s, s + k * g.n), (k, g.n)),
+                       (slice(c, c + k * g.n_u), (k, g.n_u)),
+                       (slice(o, o + k * g.r), (k, g.r))) for g, k, s, c, o in runs]
         super().__init__(
             group_id=group_id,
             r=r,
@@ -287,31 +291,38 @@ class ProductGroup(TransformationGroup):
                               is not TransformationGroup._act_control]
 
     @staticmethod
-    def _blocks(v, sl, k):
+    def _blocks(v, block):
         """``v[..., sl]`` as a ``(..., k, width)`` view; writes reach ``v``."""
+        sl, tail = block
         part = v[..., sl]
-        return part.reshape(part.shape[:-1] + (k, (sl.stop - sl.start) // k))
+        return part.reshape(part.shape[:-1] + tail)
+
+    @staticmethod
+    def _factor_error(e, first, group):
+        """The frame error ``e`` of a run starting at factor ``first``, naming
+        the factor; the run's factors sit on the call's last batch axis."""
+        *batch, slot = e.index
+        return singular_frame(e.reason, batch, e.where, f"{first + slot} ('{group.group_id}')")
 
     def _compose(self, c1, c2):
         out = np.empty(np.broadcast_shapes(c1.shape[:-1], c2.shape[:-1]) + (self.r,))
-        for group, k, _, _, cs in self._runs:
-            self._blocks(out, cs, k)[...] = group._compose(
-                self._blocks(c1, cs, k), self._blocks(c2, cs, k))
+        for group, _, _, _, cs in self._runs:
+            self._blocks(out, cs)[...] = group._compose(self._blocks(c1, cs), self._blocks(c2, cs))
         return out
 
     def _inverse(self, c):
         out = np.empty(c.shape)
-        for group, k, _, _, cs in self._runs:
-            self._blocks(out, cs, k)[...] = group._inverse(self._blocks(c, cs, k))
+        for group, _, _, _, cs in self._runs:
+            self._blocks(out, cs)[...] = group._inverse(self._blocks(c, cs))
         return out
 
     def _act_state(self, c, x):
         out = None
-        for group, k, s, _, cs in self._runs:
-            part = group._act_state(self._blocks(c, cs, k), self._blocks(x, s, k))
+        for group, _, s, _, cs in self._runs:
+            part = group._act_state(self._blocks(c, cs), self._blocks(x, s))
             if out is None:
                 out = np.empty(part.shape[:-2] + (self.n,))
-            self._blocks(out, s, k)[...] = part
+            self._blocks(out, s)[...] = part
         return out
 
     def _act_control(self, c, u):
@@ -319,9 +330,9 @@ class ProductGroup(TransformationGroup):
             return u
         out = np.empty(np.broadcast_shapes(c.shape[:-1], u.shape[:-1]) + (self.n_u,))
         out[...] = u
-        for group, k, _, ctrl, cs in self._control_runs:
-            self._blocks(out, ctrl, k)[...] = group._act_control(
-                self._blocks(c, cs, k), self._blocks(u, ctrl, k))
+        for group, _, _, ctrl, cs in self._control_runs:
+            self._blocks(out, ctrl)[...] = group._act_control(
+                self._blocks(c, cs), self._blocks(u, ctrl))
         return out
 
     def _moving_frame(self, x):
@@ -329,16 +340,30 @@ class ProductGroup(TransformationGroup):
         first = 0  # position of the run's first factor
         for group, k, s, _, cs in self._runs:
             try:
-                self._blocks(out, cs, k)[...] = group._moving_frame(self._blocks(x, s, k))
+                self._blocks(out, cs)[...] = group._moving_frame(self._blocks(x, s))
             except FrameSingularityError as e:
                 if not getattr(e, "index", ()):
                     raise
-                # The run's factors sit on the call's last batch axis.
-                *batch, slot = e.index
-                raise singular_frame(e.reason, batch, e.where,
-                                     f"{first + slot} ('{group.group_id}')") from None
+                raise self._factor_error(e, first, group) from None
             first += k
         return out
+
+    def _canonical(self, x):
+        batch = x.shape[:-1]
+        frame, framed, inverse = (np.empty(batch + (size,)) for size in (self.r, self.n, self.r))
+        first = 0
+        for group, k, s, _, cs in self._runs:
+            try:
+                f, xf, inv = group._canonical(self._blocks(x, s))
+            except FrameSingularityError as e:
+                if not getattr(e, "index", ()):
+                    raise
+                raise self._factor_error(e, first, group) from None
+            self._blocks(frame, cs)[...] = f
+            self._blocks(framed, s)[...] = xf
+            self._blocks(inverse, cs)[...] = inv
+            first += k
+        return frame, framed, inverse
 
     def random_element(self, rng: Rng, size=None) -> GroupElement:
         coords = np.concatenate(

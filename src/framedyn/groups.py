@@ -59,7 +59,9 @@ class TransformationGroup(abc.ABC):
     Subclasses implement the raw coordinate maps (``_compose``, ``_inverse``,
     ``_act_state``, ``_moving_frame`` and optionally ``_act_control``); this
     base class adds validation, element wrapping, and the generic reduction
-    machinery derived from the a/b split.
+    machinery derived from the a/b split.  ``_canonical`` (the frame, the
+    framed state and the inverse frame of a state batch) is composed from
+    those maps and may be overridden with one pass that gives the same bits.
     """
 
     def __init__(
@@ -106,6 +108,12 @@ class TransformationGroup(abc.ABC):
     def _act_control(self, c: np.ndarray, u: np.ndarray) -> np.ndarray:
         # Default: the group leaves controls untouched.
         return u
+
+    def _canonical(self, x: np.ndarray):
+        """``(frame, framed, inverse)``: the moving frame of ``x``, ``x`` carried
+        by it, and the frame's inverse."""
+        frame = self._moving_frame(x)
+        return frame, self._act_state(frame, x), self._inverse(frame)
 
     # -- validation ----------------------------------------------------------
 
@@ -169,8 +177,7 @@ class TransformationGroup(abc.ABC):
     def reduce(self, x) -> np.ndarray:
         """Canonical coordinates of ``x``: b-projection of the framed state."""
         xv = self._require_vector(x, self.n, "state")
-        frame = self._moving_frame(xv)
-        return self._act_state(frame, xv)[..., self.b_indices]
+        return self._canonical(xv)[1][..., self.b_indices]
 
     def reconstruct_on_cross_section(self, x_bar) -> np.ndarray:
         """The unique cross-section state whose reduction equals ``x_bar``."""

@@ -16,7 +16,8 @@ usual choice).
 ``predict`` and ``training_target`` share one private encode path per model
 that validates the inputs once (next states must have the states' shape).
 The symmetry model's path then works on the group's raw coordinate maps:
-one moving frame and one framed state per call.  For both models the decode
+one ``_canonical`` pass per call gives the moving frame, the framed state
+and the inverse frame.  For both models the decode
 context is a tuple of per-row arrays, so a caller can decode any block of
 rows by slicing each of them.
 
@@ -78,8 +79,7 @@ class SymmetryReducedModel:
         group = self.group
         xv = group._require_vector(x, group.n, "state")
         uv = group._require_vector(u, group.n_u, "control")
-        frame = group._moving_frame(xv)
-        framed = group._act_state(frame, xv)
+        frame, framed, inverse = group._canonical(xv)
         inputs = np.concatenate(
             [framed[..., group.b_indices], group._act_control(frame, uv)], axis=-1
         )
@@ -91,7 +91,7 @@ class SymmetryReducedModel:
             targets = group._act_state(frame, xn)
             if self.mode == "delta":
                 targets = targets - framed
-        return inputs, (group._inverse(frame), framed), targets
+        return inputs, (inverse, framed), targets
 
     def _decode(self, context, out) -> np.ndarray:
         """Carry the regressor output back to original coordinates."""

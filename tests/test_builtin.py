@@ -246,6 +246,10 @@ def test_stacked_runs_equal_factor_by_factor_maps(size):
                     expected[..., sl] = getattr(factor[0], method)(
                         *(v[..., factor[f]] for v, f in operands))
             assert got.tobytes() == expected.tobytes(), (group.group_id, method)
+        # One pass over the runs equals the three maps it replaces.
+        frame = group._moving_frame(x)
+        composed = (frame, group._act_state(frame, x), group._inverse(frame))
+        assert [a.tobytes() for a in group._canonical(x)] == [a.tobytes() for a in composed]
 
 
 def test_registry_ids():

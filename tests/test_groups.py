@@ -162,10 +162,11 @@ def test_singular_factor_is_named_apart_from_the_batch_index():
         parking.moving_frame(x[3])
     assert str(single.value) == ("heading direction norm below 1e-08 in factor 1 ('se2car'); "
                                  "the frame is undefined there")
-    with pytest.raises(FrameSingularityError) as batch:
-        parking.moving_frame(x)
-    assert "in factor 1 ('se2car') at batch index 3;" in str(batch.value)
-    assert batch.value.index == (3,)
+    for frame_of in (parking.moving_frame, parking.reduce, parking._canonical):
+        with pytest.raises(FrameSingularityError) as batch:
+            frame_of(x)
+        assert "in factor 1 ('se2car') at batch index 3;" in str(batch.value)
+        assert (batch.value.index, batch.value.factor) == ((3,), "1 ('se2car')")
     car = get_group("se2car")
     with pytest.raises(FrameSingularityError, match=r"^heading direction .* at batch index 3;"):
         car.moving_frame(x[:, 6:12])

@@ -228,13 +228,13 @@ def test_train_frames_each_transition_once(monkeypatch, small_parking_dataset):
     model = build_symmetry_model(get_group("parking2"), [16], seed=2)
     group = model.group
     rows = []
-    frame = group._moving_frame
+    canonical = group._canonical
 
     def counted(x):
         rows.append(len(x))
-        return frame(x)
+        return canonical(x)
 
-    monkeypatch.setattr(group, "_moving_frame", counted)
+    monkeypatch.setattr(group, "_canonical", counted)
     train(model, ds, TrainConfig(updates=20, eval_every=10, batch_size=32, seed=1))
     assert sum(rows) == len(ds)
 
