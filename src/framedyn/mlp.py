@@ -55,12 +55,15 @@ def _activate(name, z):
 
 
 def _layer_views(spec: MlpSpec, flat: np.ndarray):
-    """Per-layer (weights, biases) views of a flat parameter-layout vector."""
+    """Per-layer (weights, biases) views of a flat parameter-layout vector, or
+    of a stack of them along leading axes."""
     weights, biases, offset = [], [], 0
+    lead = flat.shape[:-1]
     for fan_in, fan_out in spec.layer_dims:
-        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        weights.append(flat[..., offset : offset + fan_in * fan_out]
+                       .reshape(lead + (fan_in, fan_out)))
         offset += fan_in * fan_out
-        biases.append(flat[offset : offset + fan_out])
+        biases.append(flat[..., offset : offset + fan_out])
         offset += fan_out
     return weights, biases
 

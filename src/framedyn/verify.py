@@ -16,7 +16,7 @@ import numpy as np
 
 from .builtin import get_group
 from .groups import TransformationGroup
-from .mlp import Mlp, MlpSpec
+from .mlp import Mlp, MlpSpec, _activate, _layer_views
 from .models import SymmetryReducedModel
 from .rng import Rng, derive_seed, uniform_rows
 from .sim import default_hidden, get_env
@@ -160,6 +160,26 @@ def check_sim_invariance(env_id: str, seed: int = 0, samples: int = 1000) -> Sui
     return SuiteResult("sim", env_id, samples, err, TOL_SIM, idx, seed)
 
 
+def _probe_losses(spec, params, x, y, coords, step, base_signs):
+    """Loss at ``params`` moved by +``step`` and by -``step`` on each of
+    ``coords``, as ``(len(coords), 2)``, and per coordinate whether either move
+    flips the sign of a relu pre-activation.  Every probe network runs in one
+    stacked forward pass."""
+    stack = np.repeat(params[None], 2 * len(coords), axis=0)  # +, - per coordinate
+    stack[np.arange(len(stack)), np.repeat(coords, 2)] += np.tile([step, -step], len(coords))
+    weights, biases = _layer_views(spec, stack)
+    h, kink = x, np.zeros(len(stack), dtype=bool)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = np.matmul(h, w)
+        h += b[:, None]
+        if i != len(weights) - 1:
+            _activate(spec.activation, h)
+            if spec.activation == "relu":
+                kink |= ((h > 0.0) != base_signs[i]).any(axis=(1, 2))
+    d = h - y
+    return np.mean(d * d, axis=(1, 2)).reshape(-1, 2), kink.reshape(-1, 2).any(axis=1)
+
+
 def check_gradient_exactness(seed: int = 0, probes: int = 100) -> list[SuiteResult]:
     """Backpropagated gradients against central finite differences on the
     mean-squared-error loss; ``probes`` random parameter coordinates per
@@ -187,35 +207,20 @@ def check_gradient_exactness(seed: int = 0, probes: int = 100) -> list[SuiteResu
             out, cache = net.forward_cached(x)
             diff = out - y
             net.backward(cache, (2.0 / diff.size) * diff)
-            flat_grads = net.flat_grads.copy()
-            params = net.flatten_params()
+            params = net.flat_params
             base_signs = [a > 0.0 for a in cache[1:]]
-
-            def loss_at(p):
-                """Loss at ``p``, and whether a relu pre-activation changed sign."""
-                net.load_flat_params(p)
-                out, inputs = net.forward_cached(x)
-                d = out - y
-                kink = activation == "relu" and any(
-                    np.any((a > 0.0) != s) for a, s in zip(inputs[1:], base_signs)
-                )
-                return float(np.mean(d * d)), kink
-
             coords = rng.integers(params.size, size=probes // nets)
+            losses, kinks = _probe_losses(spec, params, x, y, coords, step, base_signs)
             for j, coord in enumerate(coords):
-                while True:
-                    plus, minus = params.copy(), params.copy()
-                    plus[coord] += step
-                    minus[coord] -= step
-                    (f_plus, kink_plus), (f_minus, kink_minus) = loss_at(plus), loss_at(minus)
-                    if not (kink_plus or kink_minus):
-                        break
+                (f_plus, f_minus), kink = losses[j], kinks[j]
+                while kink:  # replacements are drawn one at a time, in probe order
                     coord = rng.integers(params.size)
+                    ((f_plus, f_minus),), (kink,) = _probe_losses(
+                        spec, params, x, y, np.atleast_1d(coord), step, base_signs)
                 fd = (f_plus - f_minus) / (2.0 * step)
-                bp = flat_grads[coord]
+                bp = net.flat_grads[coord]
                 rel = abs(bp - fd) / max(abs(bp) + abs(fd), 1e-8)
                 worst = max(worst, (rel, k * (probes // nets) + j), key=lambda t: t[0])
-            net.load_flat_params(params)
         results.append(
             SuiteResult("gradcheck", f"{layers} hidden", probes, worst[0],
                         TOL_GRADCHECK, worst[1], seed)

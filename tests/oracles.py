@@ -12,7 +12,9 @@ update) whose records and parameters ``train`` must reproduce,
 row-blocked ``observation_mse`` must reproduce, :func:`write_jsonl_per_float`
 is the dataset writer whose bytes the state-reusing writer must reproduce, and
 :func:`read_jsonl_per_line` the dataset reader whose arrays and errors the
-state-reusing reader must reproduce.
+state-reusing reader must reproduce, and :func:`gradcheck_per_probe` the
+gradient check (one network forward per parameter probe) whose worst errors
+the stacked-probe check must reproduce.
 """
 
 import json
@@ -22,7 +24,7 @@ import numpy as np
 
 from framedyn import training
 from framedyn.dataset import DatasetFormatError, TransitionDataset
-from framedyn.mlp import Adam
+from framedyn.mlp import Adam, Mlp, MlpSpec
 from framedyn.rng import Rng, derive_seed
 
 
@@ -224,3 +226,49 @@ def read_jsonl_per_line(path):
         env_id=header["env_id"], n=n, n_u=n_u, seed=header["seed"],
         x=xs, u=us, x_next=xns,
     )
+
+
+def gradcheck_per_probe(seed=0, probes=100):
+    """(max_error, worst_index) per hidden-layer count of
+    ``verify.check_gradient_exactness``, one forward pass per +-step probe."""
+    results = []
+    step = 1e-6
+    for layers in (1, 2, 3):
+        rng = Rng(derive_seed(seed, "gradcheck", layers))
+        worst = (0.0, -1)
+        nets = max(1, probes // 10)
+        for k in range(nets):
+            activation = "relu" if k % 2 == 0 else "tanh"
+            net = Mlp.from_spec(MlpSpec(
+                input_dim=5, output_dim=3, hidden_layers=(8,) * layers,
+                activation=activation, seed=derive_seed(seed, "net", layers, k)))
+            x = rng.uniform(-1.0, 1.0, size=(4, 5))
+            y = rng.uniform(-1.0, 1.0, size=(4, 3))
+            out, cache = net.forward_cached(x)
+            diff = out - y
+            net.backward(cache, (2.0 / diff.size) * diff)
+            grads, params = net.flat_grads.copy(), net.flatten_params()
+            base_signs = [a > 0.0 for a in cache[1:]]
+
+            def loss_at(p):
+                net.load_flat_params(p)
+                out, inputs = net.forward_cached(x)
+                d = out - y
+                kink = activation == "relu" and any(
+                    np.any((a > 0.0) != s) for a, s in zip(inputs[1:], base_signs))
+                return float(np.mean(d * d)), kink
+
+            for j, coord in enumerate(rng.integers(params.size, size=probes // nets)):
+                while True:
+                    plus, minus = params.copy(), params.copy()
+                    plus[coord] += step
+                    minus[coord] -= step
+                    (f_plus, kink_plus), (f_minus, kink_minus) = loss_at(plus), loss_at(minus)
+                    if not (kink_plus or kink_minus):
+                        break
+                    coord = rng.integers(params.size)
+                fd = (f_plus - f_minus) / (2.0 * step)
+                rel = abs(grads[coord] - fd) / max(abs(grads[coord]) + abs(fd), 1e-8)
+                worst = max(worst, (rel, k * (probes // nets) + j), key=lambda t: t[0])
+        results.append((float(worst[0]), worst[1]))
+    return results

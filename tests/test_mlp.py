@@ -102,6 +102,14 @@ def test_gradients_match_central_differences():
         assert result.passed, f"{result.subject}: rel error {result.max_error}"
 
 
+@pytest.mark.parametrize("seed, probes", [(0, 100), (4, 100), (11, 100), (1, 40), (3, 7)])
+def test_stacked_gradcheck_matches_per_probe_oracle(seed, probes):
+    # All probes of a network run in one stacked forward pass; the losses,
+    # the kink redraws and so the worst errors equal one pass per probe.
+    got = [(r.max_error, r.worst_index) for r in check_gradient_exactness(seed, probes)]
+    assert got == oracles.gradcheck_per_probe(seed, probes)
+
+
 @pytest.mark.parametrize("seed", [4, 11, 14, 15])
 def test_gradcheck_skips_probes_across_relu_kinks(seed):
     # At these seeds a +-1e-6 probe crosses a relu kink, where central
