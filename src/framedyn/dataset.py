@@ -13,7 +13,8 @@ identical bytes.  The writer formats each state once: where ``x[i + 1]`` is
 bit-equal to ``x_next[i]``, as inside an episode, it reuses that text.  The
 reader scans a line in the writer's layout once, decoding its lists in turn
 and checking the text between them; where the ``x`` list is the text of the
-previous scanned row's ``xn`` list, it copies that parsed row instead.  Any
+previous scanned row's ``xn`` list, it copies that parsed row instead, and
+it stores the scanned rows' numbers a block of rows at a time.  Any
 other line (other key order or spacing, extra keys) is decoded as a whole by
 the general JSON decoder, with the same result.  The reader rejects records
 holding anything but lists of numbers (strings, ``true``, ``null``, ``NaN``,
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -75,8 +77,8 @@ class TransitionDataset:
         return int.from_bytes(h.digest()[:8], "little")
 
 
-# Rows converted to Python floats at a time: larger blocks gained little and
-# held more memory.
+# Rows the writer converts to Python floats, and the reader from them, at a
+# time: larger blocks gained little and held more memory.
 _BLOCK_ROWS = 256
 
 # The writer's record layout: the text before, between and after its three
@@ -153,6 +155,40 @@ def _scan(line, chain, scan_once):
     return x, u, xn, text
 
 
+def _floats(lists, width):
+    """Lists of ``width`` Python floats as one (len(lists), width) array."""
+    return np.fromiter(itertools.chain.from_iterable(lists), np.float64,
+                       len(lists) * width).reshape(len(lists), width)
+
+
+def _decode_record(path, lineno, line, n, n_u, decode):
+    """The x, u and x_next lists of a line decoded as a whole JSON object;
+    raises DatasetFormatError saying what is wrong with the record."""
+    if not line.isascii():
+        _check_utf8(path, lineno, line)
+    try:
+        if "t" in line or "a" in line or "l" in line:
+            for token in ("true", "false", "null", "NaN", "Infinity"):
+                if token in line:
+                    raise ValueError(f"non-number token {token!r}")
+        obj = decode(line)
+        x, u, xn = obj["x"], obj["u"], obj["xn"]
+        if len(x) != n or len(xn) != n or len(u) != n_u:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: dimensions do not match header (n={n}, n_u={n_u})"
+            )
+        for name, values in (("x", x), ("u", u), ("xn", xn)):
+            if set(map(type, values)) != {float}:
+                raise ValueError(f"'{name}' must be a list of numbers")
+    except DatasetFormatError:
+        raise
+    # ValueError covers JSONDecodeError; RecursionError is a list nested
+    # deeper than the decoder follows.
+    except (KeyError, RecursionError, TypeError, ValueError) as e:
+        raise DatasetFormatError(f"{path}: line {lineno}: malformed record: {e}") from e
+    return x, u, xn
+
+
 def read_jsonl(path) -> TransitionDataset:
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         header_line = f.readline()
@@ -191,11 +227,37 @@ def read_jsonl(path) -> TransitionDataset:
         rows = 0
         blank_before = []  # rows read before each blank line: the row-to-line map
         chain = None  # the previous row's x_next list text, if that row was scanned
+        # Scanned rows not yet stored, the last rows read: (lineno, line, x, u,
+        # xn), x None where the row's x is the previous row's x_next.
+        pending = []
+
+        def store_pending():
+            # One conversion per field for the whole block; where a row does not
+            # convert, the rows are stored one at a time, and the first that
+            # fails is decoded whole, which reports what is wrong with it.
+            start = rows - len(pending)
+            own = [i for i, row in enumerate(pending) if row[2] is not None]
+            try:
+                xns[start:rows] = _floats([row[4] for row in pending], n)
+                us[start:rows] = _floats([row[3] for row in pending], n_u)
+                xs[start + np.array(own, dtype=np.intp)] = _floats([pending[i][2] for i in own], n)
+                chained = start + np.flatnonzero([row[2] is None for row in pending])
+                xs[chained] = xns[chained - 1]
+            except (RecursionError, TypeError, ValueError):
+                for r, (lineno, line, x, u, xn) in enumerate(pending, start):
+                    try:
+                        xs[r], us[r], xns[r] = xns[r - 1] if x is None else x, u, xn
+                    except (RecursionError, TypeError, ValueError):
+                        xs[r], us[r], xns[r] = _decode_record(path, lineno, line, n, n_u,
+                                                              decode)
+            pending.clear()
+
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 blank_before.append(rows)
                 continue
             if rows >= count:
+                store_pending()
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: more data lines than header count {count}"
                 )
@@ -208,43 +270,21 @@ def read_jsonl(path) -> TransitionDataset:
             if line.startswith(_X_OPEN) and not ("t" in line or "a" in line or "l" in line):
                 try:
                     x, u, xn, text = _scan(line, chain, scan_once)
-                    if x is None:
-                        x = xns[rows - 1]
-                    if len(x) != n or len(u) != n_u or len(xn) != n:
+                    if (x is not None and len(x) != n) or len(u) != n_u or len(xn) != n:
                         raise ValueError
-                    xs[rows], us[rows], xns[rows] = x, u, xn
+                    pending.append((lineno, line, x, u, xn))
                 except (RecursionError, StopIteration, TypeError, ValueError):
                     text = None
             if text is None:
                 # Any other line is decoded whole and reports what is wrong.
-                if not line.isascii():
-                    _check_utf8(path, lineno, line)
-                try:
-                    if "t" in line or "a" in line or "l" in line:
-                        for token in ("true", "false", "null", "NaN", "Infinity"):
-                            if token in line:
-                                raise ValueError(f"non-number token {token!r}")
-                    obj = decode(line)
-                    x, u, xn = obj["x"], obj["u"], obj["xn"]
-                    if len(x) != n or len(xn) != n or len(u) != n_u:
-                        raise DatasetFormatError(
-                            f"{path}: line {lineno}: dimensions do not match header "
-                            f"(n={n}, n_u={n_u})"
-                        )
-                    for name, values in (("x", x), ("u", u), ("xn", xn)):
-                        if set(map(type, values)) != {float}:
-                            raise ValueError(f"'{name}' must be a list of numbers")
-                    xs[rows], us[rows], xns[rows] = x, u, xn
-                except DatasetFormatError:
-                    raise
-                # ValueError covers JSONDecodeError; RecursionError is a list
-                # nested deeper than the decoder follows.
-                except (KeyError, RecursionError, TypeError, ValueError) as e:
-                    raise DatasetFormatError(
-                        f"{path}: line {lineno}: malformed record: {e}"
-                    ) from e
+                store_pending()
+                xs[rows], us[rows], xns[rows] = _decode_record(path, lineno, line, n, n_u,
+                                                               decode)
             chain = text
             rows += 1
+            if len(pending) == _BLOCK_ROWS:
+                store_pending()
+        store_pending()
         if rows != count:
             raise DatasetFormatError(
                 f"{path}: header count {count} does not match {rows} data lines"

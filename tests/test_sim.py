@@ -409,6 +409,22 @@ class TestJsonl:
         # Rows 0-2 decode all 24 numbers; rows 3-4 decode only u and x_next.
         assert len(parsed) == 3 * 24 + 2 * 13
 
+    @pytest.mark.parametrize("count", [600, 400])
+    def test_first_bad_row_is_reported_across_row_blocks(self, tmp_path, count):
+        # Scanned rows are stored a block at a time; a row whose lists do not
+        # convert (row 300, in the second block) is still the error reported,
+        # ahead of a later bad row, a later whole-line row and extra lines.
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, generate_dataset("reacher", episodes=3, horizon=200, seed=1))
+        header, *records = path.read_text().splitlines(keepends=True)
+        records[300] = re.sub(r'"u": \[[^,]*', '"u": [[0.5]', records[300], count=1)
+        records[301] = _reorder_keys(records[301])
+        records[500] = re.sub(r'"u": \[[^,]*', '"u": [true', records[500], count=1)
+        path.write_text(header.replace('"count": 600', f'"count": {count}') + "".join(records))
+        with pytest.raises(DatasetFormatError) as e:
+            read_jsonl(path)
+        assert str(e.value) == f"{path}: line 302: malformed record: 'u' must be a list of numbers"
+
     @pytest.mark.parametrize("field, shape", [("x", (4, 22)), ("u", (8, 1)), ("xn", (8, 12))])
     def test_wrong_row_width_rejected(self, field, shape):
         arrays = {"x": np.zeros((8, 11)), "u": np.zeros((8, 2)), "xn": np.zeros((8, 11))}
