@@ -292,7 +292,8 @@ class ProductGroup(TransformationGroup):
 
     @staticmethod
     def _blocks(v, block):
-        """``v[..., sl]`` as a ``(..., k, width)`` view; writes reach ``v``."""
+        """``v[..., sl]`` as a ``(..., k, width)`` view, for ``block = (sl, (k,
+        width))``; writes reach ``v``."""
         sl, tail = block
         part = v[..., sl]
         return part.reshape(part.shape[:-1] + tail)

@@ -17,9 +17,9 @@ usual choice).
 that validates the inputs once (next states must have the states' shape).
 The symmetry model's path then works on the group's raw coordinate maps:
 one ``_canonical`` pass per call gives the moving frame, the framed state
-and the inverse frame.  For both models the decode
-context is a tuple of per-row arrays, so a caller can decode any block of
-rows by slicing each of them.
+and the inverse frame.  For both models the decode context is a tuple of
+per-row arrays, so a caller can decode any block of rows by slicing each of
+them.
 
 Predictions are returned exactly as the regressor produces them; unit-norm
 pairs (headings, joint directions) are not renormalized, so repeated rollout
