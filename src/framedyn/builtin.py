@@ -298,12 +298,23 @@ class ProductGroup(TransformationGroup):
         part = v[..., sl]
         return part.reshape(part.shape[:-1] + tail)
 
-    @staticmethod
-    def _factor_error(e, first, group):
-        """The frame error ``e`` of a run starting at factor ``first``, naming
-        the factor; the run's factors sit on the call's last batch axis."""
-        *batch, slot = e.index
-        return singular_frame(e.reason, batch, e.where, f"{first + slot} ('{group.group_id}')")
+    def _frame_runs(self, x, method):
+        """Each run and the factor frame map ``method`` applied to its block of
+        ``x``; a singular frame is reported at the product's factor position."""
+        first = 0  # position of the run's first factor
+        for run in self._runs:
+            group, k, s = run[:3]
+            try:
+                result = getattr(group, method)(self._blocks(x, s))
+            except FrameSingularityError as e:
+                if not getattr(e, "index", ()):
+                    raise
+                # The run's factors sit on the call's last batch axis.
+                *batch, slot = e.index
+                raise singular_frame(e.reason, batch, e.where,
+                                     f"{first + slot} ('{group.group_id}')") from None
+            yield run, result
+            first += k
 
     def _compose(self, c1, c2):
         out = np.empty(np.broadcast_shapes(c1.shape[:-1], c2.shape[:-1]) + (self.r,))
@@ -338,32 +349,17 @@ class ProductGroup(TransformationGroup):
 
     def _moving_frame(self, x):
         out = np.empty(x.shape[:-1] + (self.r,))
-        first = 0  # position of the run's first factor
-        for group, k, s, _, cs in self._runs:
-            try:
-                self._blocks(out, cs)[...] = group._moving_frame(self._blocks(x, s))
-            except FrameSingularityError as e:
-                if not getattr(e, "index", ()):
-                    raise
-                raise self._factor_error(e, first, group) from None
-            first += k
+        for (_, _, _, _, cs), frame in self._frame_runs(x, "_moving_frame"):
+            self._blocks(out, cs)[...] = frame
         return out
 
     def _canonical(self, x):
         batch = x.shape[:-1]
         frame, framed, inverse = (np.empty(batch + (size,)) for size in (self.r, self.n, self.r))
-        first = 0
-        for group, k, s, _, cs in self._runs:
-            try:
-                f, xf, inv = group._canonical(self._blocks(x, s))
-            except FrameSingularityError as e:
-                if not getattr(e, "index", ()):
-                    raise
-                raise self._factor_error(e, first, group) from None
+        for (_, _, s, _, cs), (f, xf, inv) in self._frame_runs(x, "_canonical"):
             self._blocks(frame, cs)[...] = f
             self._blocks(framed, s)[...] = xf
             self._blocks(inverse, cs)[...] = inv
-            first += k
         return frame, framed, inverse
 
     def random_element(self, rng: Rng, size=None) -> GroupElement:

@@ -236,13 +236,14 @@ def read_jsonl(path) -> TransitionDataset:
             # convert, the rows are stored one at a time, and the first that
             # fails is decoded whole, which reports what is wrong with it.
             start = rows - len(pending)
-            own = [i for i, row in enumerate(pending) if row[2] is not None]
+            chained = np.array([row[2] is None for row in pending], dtype=bool)
             try:
                 xns[start:rows] = _floats([row[4] for row in pending], n)
                 us[start:rows] = _floats([row[3] for row in pending], n_u)
-                xs[start + np.array(own, dtype=np.intp)] = _floats([pending[i][2] for i in own], n)
-                chained = start + np.flatnonzero([row[2] is None for row in pending])
-                xs[chained] = xns[chained - 1]
+                xs[start:rows][~chained] = _floats([row[2] for row in pending
+                                                    if row[2] is not None], n)
+                chained_rows = start + np.flatnonzero(chained)
+                xs[chained_rows] = xns[chained_rows - 1]
             except (RecursionError, TypeError, ValueError):
                 for r, (lineno, line, x, u, xn) in enumerate(pending, start):
                     try:
