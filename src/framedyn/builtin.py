@@ -314,6 +314,7 @@ class ProductGroup(TransformationGroup):
                 raise singular_frame(e.reason, batch, e.where,
                                      f"{first + slot} ('{group.group_id}')") from None
             yield run, result
+            del result  # held no longer than the caller holds it
             first += k
 
     def _compose(self, c1, c2):
@@ -355,12 +356,12 @@ class ProductGroup(TransformationGroup):
 
     def _canonical(self, x):
         batch = x.shape[:-1]
-        frame, framed, inverse = (np.empty(batch + (size,)) for size in (self.r, self.n, self.r))
-        for (_, _, s, _, cs), (f, xf, inv) in self._frame_runs(x, "_canonical"):
-            self._blocks(frame, cs)[...] = f
-            self._blocks(framed, s)[...] = xf
-            self._blocks(inverse, cs)[...] = inv
-        return frame, framed, inverse
+        outs = tuple(np.empty(batch + (size,)) for size in (self.r, self.n, self.r))
+        for (_, _, s, _, cs), parts in self._frame_runs(x, "_canonical"):
+            for out, block, part in zip(outs, (cs, s, cs), parts):
+                self._blocks(out, block)[...] = part
+            del parts, part  # free the run's factor outputs before the next run's call
+        return outs
 
     def random_element(self, rng: Rng, size=None) -> GroupElement:
         coords = np.concatenate(

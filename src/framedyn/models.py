@@ -80,9 +80,6 @@ class SymmetryReducedModel:
         xv = group._require_vector(x, group.n, "state")
         uv = group._require_vector(u, group.n_u, "control")
         frame, framed, inverse = group._canonical(xv)
-        inputs = np.concatenate(
-            [framed[..., group.b_indices], group._act_control(frame, uv)], axis=-1
-        )
         targets = None
         if x_next is not None:
             xn = group._require_vector(x_next, group.n, "next state")
@@ -91,6 +88,10 @@ class SymmetryReducedModel:
             targets = group._act_state(frame, xn)
             if self.mode == "delta":
                 targets = targets - framed
+        # Built after the targets, so that it is not held with their temporaries.
+        inputs = np.concatenate(
+            [framed[..., group.b_indices], group._act_control(frame, uv)], axis=-1
+        )
         return inputs, (inverse, framed), targets
 
     def _decode(self, context, out) -> np.ndarray:
