@@ -314,7 +314,7 @@ class ProductGroup(TransformationGroup):
                 raise singular_frame(e.reason, batch, e.where,
                                      f"{first + slot} ('{group.group_id}')") from None
             yield run, result
-            del result  # held no longer than the caller holds it
+            del result  # not held through the next run's call
             first += k
 
     def _compose(self, c1, c2):
@@ -360,7 +360,7 @@ class ProductGroup(TransformationGroup):
         for (_, _, s, _, cs), parts in self._frame_runs(x, "_canonical"):
             for out, block, part in zip(outs, (cs, s, cs), parts):
                 self._blocks(out, block)[...] = part
-            del parts, part  # free the run's factor outputs before the next run's call
+            del parts, part  # not held through the next run's call
         return outs
 
     def random_element(self, rng: Rng, size=None) -> GroupElement:
