@@ -91,10 +91,8 @@ class SE2CarGroup(TransformationGroup):
         return out
 
     def _act_state(self, c, x):
-        # One pair at a time.  Rotating a (..., 3) block of first and second
-        # coordinates gives the same bits in fewer calls, but its products with
-        # a (..., 1) cos run 3 elements per inner loop, which slowed the
-        # large-batch decode of training evaluation.
+        # Pair by pair: a (..., 3) block rotation takes fewer calls, but its
+        # (..., 1) cos broadcast runs 3-element inner loops on large batches.
         cos, sin = np.cos(c[..., 2]), np.sin(c[..., 2])
         py, pz = _rotate(cos, sin, x[..., 0], x[..., 1])
         out = np.empty(py.shape + (6,))

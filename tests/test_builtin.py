@@ -8,7 +8,7 @@ from framedyn.builtin import (
     get_group,
     make_parking_group,
 )
-from framedyn.groups import wrap_angle
+from framedyn.groups import FrameSingularityError, wrap_angle
 from framedyn.rng import Rng
 import oracles
 
@@ -251,6 +251,16 @@ def test_stacked_runs_equal_factor_by_factor_maps(size):
         composed = (frame, group._act_state(frame, x), group._inverse(frame))
         assert [a.tobytes() for a in group._canonical(x)] == [a.tobytes() for a in composed]
 
+
+def test_singular_factor_in_a_later_run_is_named_by_its_position():
+    # Factor 2 (the plain car) opens the mixed product's second run.
+    group = _mixed_product()
+    x = group.random_state(Rng(9), size=6)
+    x[4, 12 + 4 : 12 + 6] = 0.0
+    for frame_of in (group.moving_frame, group.reduce, group._canonical):
+        with pytest.raises(FrameSingularityError) as e:
+            frame_of(x)
+        assert (e.value.index, e.value.factor) == ((4,), "2 ('se2car')")
 
 def test_registry_ids():
     assert get_group("se2car").group_id == "se2car"
