@@ -177,7 +177,7 @@ class TransformationGroup(abc.ABC):
     def reduce(self, x) -> np.ndarray:
         """Canonical coordinates of ``x``: b-projection of the framed state."""
         xv = self._require_vector(x, self.n, "state")
-        return self._canonical(xv)[1][..., self.b_indices]
+        return self._act_state(self._moving_frame(xv), xv)[..., self.b_indices]
 
     def reconstruct_on_cross_section(self, x_bar) -> np.ndarray:
         """The unique cross-section state whose reduction equals ``x_bar``."""

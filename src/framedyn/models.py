@@ -142,8 +142,8 @@ class BaselineModel:
             raise ValueError(f"sizes must be n >= 1 and n_u >= 0, got n={n}, n_u={n_u}")
 
     def _encode(self, x, u, x_next=None):
-        """Regressor inputs, the decode context (a tuple of the state) and
-        the targets."""
+        """Regressor inputs, the decode context (a tuple of the inputs, whose
+        first ``n`` columns are the state) and the targets."""
         xv = np.asarray(x, dtype=np.float64)
         uv = np.asarray(u, dtype=np.float64)
         if xv.shape[-1] != self.n:
@@ -156,10 +156,11 @@ class BaselineModel:
             if xn.shape != xv.shape:
                 raise ValueError(f"next state shape {xn.shape} differs from state {xv.shape}")
             targets = xn if self.mode == "absolute" else xn - xv
-        return np.concatenate([xv, uv], axis=-1), (xv,), targets
+        inputs = np.concatenate([xv, uv], axis=-1)
+        return inputs, (inputs,), targets
 
     def _decode(self, context, out) -> np.ndarray:
-        (xv,) = context
+        xv = context[0][..., :self.n]
         out = np.asarray(out, dtype=np.float64)
         if out.shape[-1] != self.n:
             raise ValueError(f"regressor returned arity {out.shape[-1]}, expected {self.n}")

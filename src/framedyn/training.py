@@ -6,10 +6,11 @@ coordinates for the symmetry model, raw concatenation for the baseline) for
 fitting with mean-squared error and Adam on the flat parameter vector, and
 the decode context for metrics.  Reported metrics are always computed in the
 original state coordinates by running the full one-step prediction, so
-symmetry and baseline models are scored in the same space.  A split is scored
-in row blocks, bit-identical to one pass over it, so the memory of an
-evaluation beyond the split's error array is bounded by block size times
-hidden width.
+symmetry and baseline models are scored in the same space.  A split is
+encoded and scored in row blocks, each bit-identical to one pass over it, and
+keeps no copy of the next states, so a run's memory is the splits' arrays
+(and an evaluation's error array) plus one block of work, whose size is
+block size times hidden width.
 
 Determinism contract: given the same dataset, model seed and config, the
 metric sequence is bit-identical (wall times excepted).  Three independent
@@ -44,8 +45,9 @@ METRICS_HEADER = "update,train_mse,test_mse,wall_time_s"
 # Batch indices are drawn for at most this many updates in one Rng call, so
 # the index block stays small whatever ``updates`` and ``eval_every`` are.
 _DRAW_UPDATES = 256
-# Rows scored per regressor forward in an evaluation: at width 128 a block's
-# hidden activation is 2 MB, whatever the split size.
+# Rows per block of a split's encode, and per regressor forward in an
+# evaluation: at width 128 a block's hidden activation is 2 MB, whatever the
+# split size.
 _EVAL_ROWS = 2048
 
 
@@ -109,15 +111,32 @@ def check_model_dataset(model, dataset: TransitionDataset):
 
 
 def _encode_split(model, dataset: TransitionDataset, indices):
-    """Regressor inputs, decode context, targets and next states at ``indices``."""
-    x_next = dataset.x_next[indices]
+    """Regressor inputs, decode context and targets at ``indices``, encoded
+    ``_EVAL_ROWS`` rows at a time into arrays made after the first block: the
+    maps work row by row, so these hold the bits of one pass, with no
+    split-sized temporary.  An array the encode returns twice is held once."""
+    rows, split = len(indices), None
     try:
-        return *model._encode(dataset.x[indices], dataset.u[indices], x_next), x_next
-    except FrameSingularityError as e:
-        if len(getattr(e, "index", ())) != 1:
-            raise
-        row = np.arange(len(dataset))[indices][e.index[0]]
-        raise singular_frame(e.reason, [row], "dataset row", e.factor) from None
+        for start in range(0, max(rows, 1), _EVAL_ROWS):
+            j = indices[start:start + _EVAL_ROWS]
+            inputs, context, targets = model._encode(dataset.x[j], dataset.u[j], dataset.x_next[j])
+            block = (inputs, *context, targets)
+            if split is None:
+                held = {id(a): a.shape[1:] for a in block}
+                held = {key: np.empty((rows,) + tail) for key, tail in held.items()}
+                split = [held[id(a)] for a in block]
+            for whole, part in zip(split, block):
+                whole[start:start + len(j)] = part
+    except ValueError:  # raised again by one pass, which names the split's first bad row
+        try:
+            model._encode(dataset.x[indices], dataset.u[indices], dataset.x_next[indices])
+        except FrameSingularityError as e:
+            if len(getattr(e, "index", ())) != 1:
+                raise
+            row = np.arange(len(dataset))[indices][e.index[0]]
+            raise singular_frame(e.reason, [row], "dataset row", e.factor) from None
+        raise
+    return split[0], tuple(split[1:-1]), split[-1]
 
 
 def observation_mse(model, dataset: TransitionDataset, indices, encoded=None) -> float:
@@ -127,17 +146,19 @@ def observation_mse(model, dataset: TransitionDataset, indices, encoded=None) ->
     The split is predicted ``_EVAL_ROWS`` rows at a time into one error
     array, which is then squared and averaged as a whole: the same bits as
     one pass over the split, with the regressor's memory bounded by a block.
+    Each block's next states are gathered into its rows of the error array.
     """
-    inputs, context, _, x_next = encoded or _encode_split(model, dataset, indices)
-    err = np.empty_like(x_next)
-    rows, stop = len(x_next), 0
+    inputs, context, _ = encoded or _encode_split(model, dataset, indices)
+    rows, stop = len(inputs), 0
+    err = np.empty((rows, dataset.n))
     while stop < rows:
         start, stop = stop, min(rows, stop + _EVAL_ROWS)
         if rows - stop == 1:  # one row would take numpy's GEMV path, which rounds differently
             stop = rows
         block = slice(start, stop)
         pred = model._decode(tuple(c[block] for c in context), model.regressor(inputs[block]))
-        np.subtract(pred, x_next[block], out=err[block])
+        x_next = dataset.x_next.take(indices[block], axis=0, out=err[block])
+        np.subtract(pred, x_next, out=x_next)
     err *= err
     return float(np.mean(err))
 
@@ -160,7 +181,7 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
 
     train_split = _encode_split(model, dataset, train_idx)
     test_split = _encode_split(model, dataset, test_idx)
-    inputs, _, targets, _ = train_split
+    inputs, _, targets = train_split
     batch_rng = Rng(derive_seed(config.seed, "batches"))
     adam = Adam(regressor.flat_params, lr=config.learning_rate, betas=ADAM_BETAS, eps=ADAM_EPS)
     records: list[MetricRecord] = []

@@ -97,7 +97,7 @@ def train_per_update(model, dataset, config):
         len(dataset), config.test_fraction, split_seed)
     train_split = training._encode_split(model, dataset, train_idx)
     test_split = training._encode_split(model, dataset, test_idx)
-    inputs, _, targets, _ = train_split
+    inputs, _, targets = train_split
     batch_rng = Rng(derive_seed(config.seed, "batches"))
     adam = Adam(regressor.flat_params, lr=config.learning_rate,
                 betas=training.ADAM_BETAS, eps=training.ADAM_EPS)
@@ -135,11 +135,11 @@ def train_per_update(model, dataset, config):
 
 
 def observation_mse_whole_split(model, dataset, indices):
-    """``training.observation_mse`` as one forward, one decode and one mean
-    over the whole split."""
-    inputs, context, _, x_next = training._encode_split(model, dataset, indices)
+    """``training.observation_mse`` as one encode, one forward, one decode and
+    one mean over the whole split."""
+    inputs, context, _ = model._encode(dataset.x[indices], dataset.u[indices])
     pred = model._decode(context, model.regressor(inputs))
-    return float(np.mean((pred - x_next) ** 2))
+    return float(np.mean((pred - dataset.x_next[indices]) ** 2))
 
 
 def write_jsonl_per_float(path, dataset):

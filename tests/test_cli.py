@@ -142,6 +142,26 @@ class TestTrain:
             "error: heading direction norm below 1e-08 in factor 0 ('se2car') "
             "at dataset row 7; the frame is undefined there\n")
 
+    def test_singular_frame_past_the_first_block_names_the_dataset_row(self, tmp_path,
+                                                                       capsys):
+        from framedyn.training import _EVAL_ROWS, train_test_split
+
+        data = tmp_path / "blocks.jsonl"
+        assert run(["gen-data", "--env", "parking2", "--episodes", "50",
+                    "--horizon", "50", "-o", str(data)]) == 0
+        ds = read_jsonl(data)
+        train_idx, _ = train_test_split(len(ds), 0.1, 3)
+        row = int(train_idx[_EVAL_ROWS + 50])  # in the train split's second block
+        ds.x[row, 10:12] = 0.0  # car 1 has no heading
+        write_jsonl(data, ds)
+        capsys.readouterr()
+        assert run(["train", "--data", str(data), "--updates", "10", "--split-seed", "3",
+                    "--out-model", str(tmp_path / "x.fdm"),
+                    "--out-metrics", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: heading direction norm below 1e-08 in factor 1 ('se2car') "
+            f"at dataset row {row}; the frame is undefined there\n")
+
     @pytest.mark.parametrize("hidden", ["", ","])
     def test_empty_hidden_list_fails_before_any_output(self, dataset_path, tmp_path,
                                                        capsys, hidden):

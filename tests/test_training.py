@@ -218,8 +218,8 @@ def test_scoring_memory_is_bounded_by_a_block(default_parking_dataset):
     finally:
         tracemalloc.stop()
     assert peak < 18_000 * 128 * 8
-    x_next = encoded[3]
-    assert peak < x_next.nbytes + 2 * training._EVAL_ROWS * 128 * 8
+    err_nbytes = 18_000 * ds.n * 8
+    assert peak < err_nbytes + 2 * training._EVAL_ROWS * 128 * 8
 
 
 def test_train_frames_each_transition_once(monkeypatch, small_parking_dataset):
@@ -237,6 +237,79 @@ def test_train_frames_each_transition_once(monkeypatch, small_parking_dataset):
     monkeypatch.setattr(group, "_canonical", counted)
     train(model, ds, TrainConfig(updates=20, eval_every=10, batch_size=32, seed=1))
     assert sum(rows) == len(ds)
+
+
+@pytest.mark.parametrize("mode", ["delta", "absolute"])
+@pytest.mark.parametrize("method", ["sym", "base"])
+@pytest.mark.parametrize("env", ["parking2", "reacher"])
+def test_blocked_encode_matches_one_pass(env, method, mode, default_parking_dataset,
+                                         default_reacher_dataset):
+    # One row, a block less one, one block, a block plus one, and the default
+    # parking2 train split's size; rows repeat where the dataset is smaller.
+    ds = default_parking_dataset if env == "parking2" else default_reacher_dataset
+    if method == "sym":
+        model = build_symmetry_model(get_group(env), [8], seed=2, mode=mode)
+    else:
+        model = build_baseline_model(ds.n, ds.n_u, [8], seed=2, mode=mode)
+    b = training._EVAL_ROWS
+    for rows in (1, b - 1, b, b + 1, 18_000):
+        indices = Rng(rows).integers(len(ds), size=rows)
+        inputs, context, targets = training._encode_split(model, ds, indices)
+        one_inputs, one_context, one_targets = model._encode(
+            ds.x[indices], ds.u[indices], ds.x_next[indices])
+        assert len(context) == len(one_context)
+        for got, want in zip((inputs, *context, targets),
+                             (one_inputs, *one_context, one_targets)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), rows
+        if method == "base":
+            assert context[0] is inputs  # the decode context is held once
+
+
+def test_blocked_encode_names_the_split_error_of_one_pass():
+    # The first block holds a singular car 2 (factor 2) and a later block a
+    # singular car 1 (factor 0); one pass walks the factors first, so it
+    # names car 1's row, and so must the blocked encode.
+    from framedyn.builtin import ConstantTranslationGroup, ProductGroup, SE2CarGroup
+    from framedyn.groups import FrameSingularityError
+
+    group = ProductGroup("car-goal-car", [SE2CarGroup(), ConstantTranslationGroup(6),
+                                         SE2CarGroup()])
+    rng = Rng(3)
+    rows = training._EVAL_ROWS + 100
+    x = group.random_state(rng, size=rows)
+    x[5, 16:18] = 0.0
+    x[rows - 50, 4:6] = 0.0
+    ds = TransitionDataset("custom", group.n, group.n_u, 0, x,
+                           group.random_control(rng, size=rows), x)
+    model = build_symmetry_model(group, [8], seed=0)
+    with pytest.raises(FrameSingularityError) as e:
+        training._encode_split(model, ds, np.arange(rows))
+    assert str(e.value) == (
+        f"heading direction norm below 1e-08 in factor 0 ('se2car') at dataset row "
+        f"{rows - 50}; the frame is undefined there")
+
+
+@pytest.mark.parametrize("method", ["sym", "base"])
+def test_train_memory_is_the_splits_plus_a_block(method, default_parking_dataset):
+    # The default parking2 dataset at width 128: training holds the encoded
+    # splits and one block of encode or scoring work, no split-sized
+    # temporaries and no gathered copy of the next states.
+    import tracemalloc
+
+    ds = default_parking_dataset
+    if method == "sym":
+        model = build_symmetry_model(get_group("parking2"), [128], seed=0)
+    else:
+        model = build_baseline_model(ds.n, ds.n_u, [128], seed=0)
+    ds.content_hash()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train(model, ds, TrainConfig(updates=20, eval_every=10))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 19.5e6
 
 
 def _run_both(make_model, ds, cfg):
