@@ -6,11 +6,10 @@ coordinates for the symmetry model, raw concatenation for the baseline) for
 fitting with mean-squared error and Adam on the flat parameter vector, and
 the decode context for metrics.  Reported metrics are always computed in the
 original state coordinates by running the full one-step prediction, so
-symmetry and baseline models are scored in the same space.  A split is
-encoded and scored in row blocks, each bit-identical to one pass over it, and
-keeps no copy of the next states, so a run's memory is the splits' arrays
-(and an evaluation's error array) plus one block of work, whose size is
-block size times hidden width.
+symmetry and baseline models are scored in the same space.  Splits are
+encoded and scored in row blocks, bit-identical to one pass, and keep no copy
+of the next states, so a run's memory is the splits' arrays (and the error
+array of an evaluation) plus one block, of block size times hidden width.
 
 Determinism contract: given the same dataset, model seed and config, the
 metric sequence is bit-identical (wall times excepted).  Three independent
@@ -45,9 +44,8 @@ METRICS_HEADER = "update,train_mse,test_mse,wall_time_s"
 # Batch indices are drawn for at most this many updates in one Rng call, so
 # the index block stays small whatever ``updates`` and ``eval_every`` are.
 _DRAW_UPDATES = 256
-# Rows per block of a split's encode, and per regressor forward in an
-# evaluation: at width 128 a block's hidden activation is 2 MB, whatever the
-# split size.
+# Rows per block of a split's encode and of an evaluation's regressor forward:
+# at width 128 a block's hidden activation is 2 MB, whatever the split size.
 _EVAL_ROWS = 2048
 
 

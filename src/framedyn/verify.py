@@ -17,6 +17,7 @@ import numpy as np
 from .builtin import get_group
 from .groups import TransformationGroup
 from .mlp import Mlp, MlpSpec, _activate, _layer_views
+from .models import SymmetryReducedModel
 from .rng import Rng, derive_seed, uniform_rows
 from .sim import default_hidden, get_env
 from .training import build_symmetry_model
@@ -127,21 +128,23 @@ def check_model_invariance(group: TransformationGroup, seed: int = 0, samples: i
     x = group.random_state(rng, size=samples)
     u = group.random_control(rng, size=samples)
     g = group.random_element(rng, size=samples)
-    gx = group.act_state(g, x)
-    gu = group.act_control(g, u)
     width = default_hidden(group.group_id)
-    models = [build_symmetry_model(group, [width] * layers,
-                                   seed=derive_seed(seed, group.group_id, layers, mode), mode=mode)
-              for layers in LAYER_COUNTS for mode in ("delta", "absolute")]
     # The encode depends on neither the regressor nor the mode: every model
     # decodes from one encode of each input pair, as its predict would.
+    encode = SymmetryReducedModel(group, None)._encode
     (inputs, context, _), (g_inputs, g_context, _) = (
-        models[0]._encode(x, u), models[0]._encode(gx, gu))
+        encode(x, u), encode(group.act_state(g, x), group.act_control(g, u)))
+    del x, u  # the encodes hold what the models need
     worst = (0.0, -1)
-    for model in models:
-        err = (model._decode(g_context, model.regressor(g_inputs))
-               - group.act_state(g, model._decode(context, model.regressor(inputs))))
-        worst = max(worst, _max_abs(err), key=lambda t: t[0])
+    for layers in LAYER_COUNTS:
+        for mode in ("delta", "absolute"):
+            model = build_symmetry_model(
+                group, [width] * layers,
+                seed=derive_seed(seed, group.group_id, layers, mode), mode=mode,
+            )
+            err = (model._decode(g_context, model.regressor(g_inputs))
+                   - group.act_state(g, model._decode(context, model.regressor(inputs))))
+            worst = max(worst, _max_abs(err), key=lambda t: t[0])
     return SuiteResult("model-invariance", group.group_id, samples, worst[0],
                        TOL_MODEL_INVARIANCE, worst[1], seed)
 
