@@ -142,8 +142,8 @@ def check_model_invariance(group: TransformationGroup, seed: int = 0, samples: i
                 group, [width] * layers,
                 seed=derive_seed(seed, group.group_id, layers, mode), mode=mode,
             )
-            err = (model._decode(g_context, model.regressor(g_inputs))
-                   - group.act_state(g, model._decode(context, model.regressor(inputs))))
+            err = group.act_state(g, model._decode(context, model.regressor(inputs)))
+            np.subtract(model._decode(g_context, model.regressor(g_inputs)), err, out=err)
             worst = max(worst, _max_abs(err), key=lambda t: t[0])
     return SuiteResult("model-invariance", group.group_id, samples, worst[0],
                        TOL_MODEL_INVARIANCE, worst[1], seed)

@@ -301,7 +301,6 @@ def test_train_memory_is_the_splits_plus_a_block(method, default_parking_dataset
         model = build_symmetry_model(get_group("parking2"), [128], seed=0)
     else:
         model = build_baseline_model(ds.n, ds.n_u, [128], seed=0)
-    ds.content_hash()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
