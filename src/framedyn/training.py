@@ -8,8 +8,9 @@ the decode context for metrics.  Reported metrics are always computed in the
 original state coordinates by running the full one-step prediction, so
 symmetry and baseline models are scored in the same space.  Splits are
 encoded and scored in row blocks, bit-identical to one pass, and keep no copy
-of the next states, so a run's memory is the splits' arrays (and the error
-array of an evaluation) plus one block, of block size times hidden width.
+of the next states; an evaluation holds no array of the split's size, so a
+run's memory is the splits' arrays plus one block, of block size times hidden
+width.
 
 Determinism contract: given the same dataset, model seed and config, the
 metric sequence is bit-identical (wall times excepted).  Three independent
@@ -137,28 +138,49 @@ def _encode_split(model, dataset: TransitionDataset, indices):
     return split[0], tuple(split[1:-1]), split[-1]
 
 
+def _pairwise_sum(leaf_sum, start, stop, leaf):
+    """The sum of elements ``[start, stop)`` of a contiguous float64 array in
+    numpy's pairwise order: a node of ``m > 128`` elements splits after its
+    first ``m // 2 - (m // 2) % 8``.  Nodes of at most ``leaf`` elements
+    (``leaf >= 128``) are summed by ``leaf_sum(start, stop)`` and the node sums
+    added in the tree's order, so summing each node with ``np.add.reduce``
+    gives the bits of ``np.add.reduce`` over the whole range.  A module-level
+    function: a nested one calling itself would be a reference cycle that
+    keeps ``leaf_sum``'s arrays alive until the cyclic collector runs."""
+    m = stop - start
+    if m <= leaf:
+        return leaf_sum(start, stop)
+    h = m // 2 - (m // 2) % 8
+    return (_pairwise_sum(leaf_sum, start, start + h, leaf)
+            + _pairwise_sum(leaf_sum, start + h, stop, leaf))
+
+
 def observation_mse(model, dataset: TransitionDataset, indices, encoded=None) -> float:
     """Mean squared one-step prediction error in original coordinates;
     ``encoded`` is the ``_encode_split`` of ``indices`` when already known.
 
-    The split is predicted ``_EVAL_ROWS`` rows at a time into one error
-    array, which is then squared and averaged as a whole: the same bits as
-    one pass over the split, with the regressor's memory bounded by a block.
-    Each block's next states are gathered into its rows of the error array.
+    The flattened ``rows x n`` error is cut into the nodes of numpy's
+    pairwise-sum tree of at most ``_EVAL_ROWS x n`` elements; each node
+    predicts only the rows it covers, gathers their next states, squares the
+    error and sums its part.  The node sums, added in the tree's order and
+    divided by the element count, are the bits of ``np.mean`` over the whole
+    split's error array, which is never held: memory is bounded by a block.
     """
     inputs, context, _ = encoded or _encode_split(model, dataset, indices)
-    rows, stop = len(inputs), 0
-    err = np.empty((rows, dataset.n))
-    while stop < rows:
-        start, stop = stop, min(rows, stop + _EVAL_ROWS)
-        if rows - stop == 1:  # one row would take numpy's GEMV path, which rounds differently
-            stop = rows
-        block = slice(start, stop)
+    rows, n = len(inputs), dataset.n
+
+    def leaf_sum(start, stop):
+        first, end = start // n, -(-stop // n)
+        if end - first == 1 < rows:  # one row would take numpy's GEMV path, which rounds differently
+            first, end = (first - 1, end) if first else (first, end + 1)
+        block = slice(first, end)
         pred = model._decode(tuple(c[block] for c in context), model.regressor(inputs[block]))
-        x_next = dataset.x_next.take(indices[block], axis=0, out=err[block])
-        np.subtract(pred, x_next, out=x_next)
-    err *= err
-    return float(np.mean(err))
+        err = dataset.x_next.take(indices[block], axis=0)
+        np.subtract(pred, err, out=err)
+        err *= err
+        return np.add.reduce(err.reshape(-1)[start - first * n:stop - first * n])
+
+    return float(_pairwise_sum(leaf_sum, 0, rows * n, max(_EVAL_ROWS * n, 128)) / (rows * n))
 
 
 def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[MetricRecord]:
@@ -213,8 +235,11 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
             block = min(_DRAW_UPDATES, next_record - update)
             for j in batch_rng.integers(n_train, size=(block, batch_size)):
                 update += 1
-                inputs.take(j, axis=0, out=batch_inputs)
-                targets.take(j, axis=0, out=batch_targets)
+                # The indices come from integers(n_train), always in range, so
+                # "clip" gathers the same rows; the default "raise" buffers
+                # every take given an out=.
+                inputs.take(j, axis=0, out=batch_inputs, mode="clip")
+                targets.take(j, axis=0, out=batch_targets, mode="clip")
                 out, cache = regressor.forward_cached(batch_inputs)
                 diff = np.subtract(out, batch_targets, out=out)
                 sq = np.multiply(diff, diff, out=batch_targets)
