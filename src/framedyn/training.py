@@ -8,9 +8,8 @@ the decode context for metrics.  Reported metrics are always computed in the
 original state coordinates by running the full one-step prediction, so
 symmetry and baseline models are scored in the same space.  Splits are
 encoded and scored in row blocks, bit-identical to one pass, and keep no copy
-of the next states; an evaluation holds no array of the split's size, so a
-run's memory is the splits' arrays plus one block, of block size times hidden
-width.
+of the next states and no error array of the split, so a run's memory is the
+splits' arrays plus one block, of block size times hidden width.
 
 Determinism contract: given the same dataset, model seed and config, the
 metric sequence is bit-identical (wall times excepted).  Three independent
@@ -139,14 +138,13 @@ def _encode_split(model, dataset: TransitionDataset, indices):
 
 
 def _pairwise_sum(leaf_sum, start, stop, leaf):
-    """The sum of elements ``[start, stop)`` of a contiguous float64 array in
-    numpy's pairwise order: a node of ``m > 128`` elements splits after its
-    first ``m // 2 - (m // 2) % 8``.  Nodes of at most ``leaf`` elements
-    (``leaf >= 128``) are summed by ``leaf_sum(start, stop)`` and the node sums
-    added in the tree's order, so summing each node with ``np.add.reduce``
-    gives the bits of ``np.add.reduce`` over the whole range.  A module-level
-    function: a nested one calling itself would be a reference cycle that
-    keeps ``leaf_sum``'s arrays alive until the cyclic collector runs."""
+    """Sum of elements ``[start, stop)`` along numpy's pairwise-sum tree, where
+    a node of ``m > 128`` elements splits after its first ``m // 2 - (m // 2) % 8``:
+    nodes of at most ``leaf >= 128`` elements are summed by ``leaf_sum(start,
+    stop)`` and added in the tree's order, so ``np.add.reduce`` as ``leaf_sum``
+    gives the bits of ``np.add.reduce`` over the range.  Module-level, since a
+    nested function calling itself is a reference cycle that would keep
+    ``leaf_sum``'s arrays alive until the cyclic collector runs."""
     m = stop - start
     if m <= leaf:
         return leaf_sum(start, stop)
@@ -235,9 +233,8 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
             block = min(_DRAW_UPDATES, next_record - update)
             for j in batch_rng.integers(n_train, size=(block, batch_size)):
                 update += 1
-                # The indices come from integers(n_train), always in range, so
-                # "clip" gathers the same rows; the default "raise" buffers
-                # every take given an out=.
+                # integers(n_train) is always in range, so "clip" gathers the same
+                # rows, and numpy does not buffer it as it does "raise" with out=.
                 inputs.take(j, axis=0, out=batch_inputs, mode="clip")
                 targets.take(j, axis=0, out=batch_targets, mode="clip")
                 out, cache = regressor.forward_cached(batch_inputs)

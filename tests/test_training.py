@@ -265,7 +265,7 @@ def test_scoring_and_training_leave_the_splits_to_reference_counting(
 
 @pytest.mark.parametrize("method", ["sym", "base"])
 def test_row_blocks_at_the_module_constant(method, default_parking_dataset):
-    # More than two blocks of the real size, ending in a one-row tail.
+    # 4,097 rows at the real block size: four nodes, two of them cut inside a row.
     ds = default_parking_dataset
     rows = 2 * training._EVAL_ROWS + 1
     if method == "sym":
