@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -168,6 +169,9 @@ def _metrics_note(settings, dataset) -> dict:
 # A compare worker's dataset, set once per process by the pool initializer
 # so that each cell's task carries only its settings.
 _worker_dataset = None
+# Set to 1 while compare workers are spawned, so each loads numpy with one BLAS
+# thread: the training GEMMs are too small to split across the CPUs.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _init_compare_worker(dataset):
@@ -224,12 +228,20 @@ def cmd_compare(args) -> int:
     )
     results = {}
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_compare_worker,
-                initargs=(dataset,)) as pool:
-            futures = {pool.submit(_compare_cell, *cell): key for key, cell in cells.items()}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
+        import multiprocessing  # here, as no other command pays for importing it
+        saved = {name: os.environ[name] for name in _BLAS_THREAD_VARS if name in os.environ}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+                    initializer=_init_compare_worker, initargs=(dataset,)) as pool:
+                futures = {pool.submit(_compare_cell, *cell): key for key, cell in cells.items()}
+                for fut in concurrent.futures.as_completed(futures):
+                    results[futures[fut]] = fut.result()
+        finally:  # restore the caller's environment
+            for name in _BLAS_THREAD_VARS:
+                del os.environ[name]
+            os.environ.update(saved)
     else:
         for key, cell in cells.items():
             results[key] = _compare_cell(*cell, dataset)

@@ -7,18 +7,18 @@ fitting with mean-squared error and Adam on the flat parameter vector, and
 the decode context for metrics.  Reported metrics are always computed in the
 original state coordinates by running the full one-step prediction, so
 symmetry and baseline models are scored in the same space.  Splits are
-encoded and scored in row blocks, bit-identical to one pass, and keep no copy
-of the next states and no error array of the split, so a run's memory is the
-splits' arrays plus one block, of block size times hidden width.
+encoded and scored in blocks of ``_EVAL_ROWS`` rows, bit-identical to one
+pass, and keep no next states or error array of the split, so a run's memory
+is the splits' arrays plus one block, of block size times hidden width.
 
 Determinism contract: given the same dataset, model seed and config, the
 metric sequence is bit-identical (wall times excepted).  Three independent
 seeds drive the run: the regressor's init seed, the train/test split seed
 (derived from the dataset content hash and ``config.seed`` unless pinned via
 ``config.split_seed``), and ``config.seed`` for batch sampling.  Batch
-indices are drawn for a block of updates at a time, which consumes the batch
-stream in the same order as one draw per update, so the contract holds
-unchanged.
+indices are drawn for ``_DRAW_UPDATES`` updates at a time, which consumes the
+batch stream in the same order as one draw per update, whatever the block, so
+the contract holds unchanged.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 MODEL_FORMAT_VERSION = 1
 METRICS_HEADER = "update,train_mse,test_mse,wall_time_s"
-# Batch indices are drawn for at most this many updates in one Rng call, so
-# the index block stays small whatever ``updates`` and ``eval_every`` are.
-_DRAW_UPDATES = 256
+# Batch indices are drawn for at most this many updates in one Rng call: at
+# batch 256 each of the draw's temporaries is 128 KB, whatever ``updates`` is.
+_DRAW_UPDATES = 64
 # Rows per block of a split's encode and of an evaluation's regressor forward:
-# at width 128 a block's hidden activation is 2 MB, whatever the split size.
-_EVAL_ROWS = 2048
+# at width 128 a block's hidden activation is 0.5 MB, small enough for L2 cache.
+_EVAL_ROWS = 512
 
 
 class TrainingDivergedError(RuntimeError):

@@ -18,6 +18,25 @@ def run(argv):
     return main(argv)
 
 
+def _worker_blas():
+    """A worker's OPENBLAS_NUM_THREADS and the thread count of its loaded
+    OpenBLAS, asked from the library itself (None for another BLAS)."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:  # no /proc: the variable alone is checked
+        libs = []
+    threads = None
+    for lib in libs:
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), sym, None)
+            if fn is not None:
+                threads = fn()
+    return os.environ.get("OPENBLAS_NUM_THREADS"), threads
+
+
 @pytest.fixture(scope="module")
 def dataset_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "parking.jsonl"
@@ -267,6 +286,30 @@ class TestCompare:
         assert run(["compare", "--data", str(dataset_path), *kwargs,
                     "--workers", "2", "--out-dir", str(d2)]) == 0
         assert (d1 / "summary.csv").read_text() == (d2 / "summary.csv").read_text()
+
+    def test_workers_run_one_blas_thread(self, dataset_path, tmp_path, monkeypatch):
+        # Two BLAS threads per worker oversubscribe the CPUs, so workers load
+        # numpy with one; the caller's environment is left as it was.
+        import concurrent.futures
+
+        probes = []
+
+        class Probing(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                probes.append(self.submit(_worker_blas).result())
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Probing)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
+        assert run(["compare", "--data", str(dataset_path), "--archs", "1",
+                    "--hidden-size", "8", "--runs", "1", "--updates", "10",
+                    "--eval-every", "10", "--workers", "2",
+                    "--out-dir", str(tmp_path / "cmp")]) == 0
+        (variable, threads), = probes
+        assert variable == "1" and threads in (1, None)
+        assert dict(os.environ) == environ
 
     def test_worker_tasks_carry_no_dataset(self, dataset_path, tmp_path, monkeypatch):
         # Each worker gets the dataset once, through its pool initializer.
