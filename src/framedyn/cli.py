@@ -185,8 +185,7 @@ def _compare_cell(settings, config, dataset=None):
     init_seed = derive_seed(config.seed, "init", layers, int(settings["symmetry"]))
     model = _build_model(dataset, settings, init_seed)
     try:
-        records = train(model, dataset, config)
-        return records, False
+        return train(model, dataset, config), False
     except TrainingDivergedError as e:
         return e.metrics, True
 
@@ -205,28 +204,22 @@ def cmd_compare(args) -> int:
     if not archs or min(archs) < 1 or len(set(archs)) != len(archs):
         raise ValueError(f"--archs must list distinct hidden layer counts >= 1, "
                          f"got {list(archs)}")
-    # Reject a group, width or mode that does not fit before any output.
+    # Reject a too-small dataset, or a group, width or mode that does not fit, before output.
     check_model_dataset(_build_model(dataset, {**s, "symmetry": True, "hidden": (width,)}, 0),
                         dataset)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = {}  # (layers, symmetry, seed) -> (settings, config)
-    for layers in archs:
-        for symmetry in (True, False):
-            for run in range(runs):
-                seed = s["seed"] + run
-                cells[(layers, symmetry, seed)] = (
-                    {**s, "symmetry": symmetry, "hidden": (width,) * layers, "seed": seed},
-                    dataclasses.replace(config, seed=seed),
-                )
+    # The grid in report order: archs, then symmetry before baseline, then runs.
+    cells = [({**s, "symmetry": symmetry, "hidden": (width,) * layers, "seed": s["seed"] + run},
+              dataclasses.replace(config, seed=s["seed"] + run))
+             for layers in archs for symmetry in (True, False) for run in range(runs)]
 
     print(
         f"comparison grid: archs={list(archs)} x methods=[symmetry, baseline] "
         f"x runs={runs} -> {len(cells)} training runs "
         f"(width={width}, updates={s['updates']}, seed base={s['seed']})"
     )
-    results = {}
     if workers > 1:
         import multiprocessing  # here, as no other command pays for importing it
         saved = {name: os.environ[name] for name in _BLAS_THREAD_VARS if name in os.environ}
@@ -235,29 +228,15 @@ def cmd_compare(args) -> int:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
                     initializer=_init_compare_worker, initargs=(dataset,)) as pool:
-                futures = {pool.submit(_compare_cell, *cell): key for key, cell in cells.items()}
-                for fut in concurrent.futures.as_completed(futures):
-                    results[futures[fut]] = fut.result()
+                results = list(pool.map(_compare_cell, *zip(*cells)))
         finally:  # restore the caller's environment
             for name in _BLAS_THREAD_VARS:
                 del os.environ[name]
             os.environ.update(saved)
     else:
-        for key, cell in cells.items():
-            results[key] = _compare_cell(*cell, dataset)
+        results = [_compare_cell(*cell, dataset) for cell in cells]
 
-    diverged = []
-    for (layers, symmetry, seed), (settings, _) in cells.items():
-        records, bad = results[(layers, symmetry, seed)]
-        label = "sym" if symmetry else "base"
-        name = f"{dataset.env_id}_h{layers}_{label}_s{seed}.csv"
-        write_metrics_csv(out / name, records, _metrics_note(settings, dataset))
-        if bad:
-            diverged.append((layers, label, seed))
-            print(f"warning: run arch={layers} {label} seed={seed} diverged",
-                  file=sys.stderr)
-
-    _write_compare_reports(out, dataset, s, archs, width, runs, results, diverged)
+    _write_compare_reports(out, dataset, s, width, runs, cells, results)
     print(f"wrote per-run metrics, curves.csv, summary.csv and report.md to {out}")
     return 0
 
@@ -269,27 +248,36 @@ def _mean_std(values) -> tuple[float, float]:
     return statistics.fmean(values), statistics.stdev(values) if len(values) > 1 else 0.0
 
 
-def _write_compare_reports(out, dataset, s, archs, width, runs, results, diverged):
-    curves, summary_rows = [], []
-    for layers in archs:
-        for symmetry in (True, False):
-            sym = "on" if symmetry else "off"
-            cell = [results[(layers, symmetry, s["seed"] + run)] for run in range(runs)]
-            finished = [records for records, bad in cell if not bad and records]
-            for i in range(min((len(rr) for rr in finished), default=0)):
-                mean, std = _mean_std([rr[i].test_mse for rr in finished])
-                curves.append(f"{layers},{sym},{finished[0][i].update_index},"
-                              f"{mean:.17g},{std:.17g}\n")
-            summary_rows.append(
-                (layers, sym, *_mean_std([rr[-1].test_mse for rr in finished]), len(finished))
-            )
+def _write_compare_reports(out, dataset, s, width, runs, cells, results):
+    """One metrics CSV per cell, then curves, summary and report, which take
+    each ``runs`` consecutive cells as the runs of one (arch, method)."""
+    curves, summary, table, diverged = [], [], [], []
+    for (settings, _), (records, bad) in zip(cells, results):
+        layers, seed = len(settings["hidden"]), settings["seed"]
+        label = "sym" if settings["symmetry"] else "base"
+        write_metrics_csv(out / f"{dataset.env_id}_h{layers}_{label}_s{seed}.csv", records,
+                          _metrics_note(settings, dataset))
+        if bad:
+            diverged.append(f"arch={layers} {label} seed={seed}")
+            print(f"warning: run {diverged[-1]} diverged", file=sys.stderr)
+    for first in range(0, len(cells), runs):
+        settings = cells[first][0]
+        layers, sym = len(settings["hidden"]), "on" if settings["symmetry"] else "off"
+        finished = [records for records, bad in results[first:first + runs]
+                    if not bad and records]
+        for i in range(min((len(rr) for rr in finished), default=0)):
+            mean, std = _mean_std([rr[i].test_mse for rr in finished])
+            curves.append(f"{layers},{sym},{finished[0][i].update_index},"
+                          f"{mean:.17g},{std:.17g}\n")
+        mean, std = _mean_std([rr[-1].test_mse for rr in finished])
+        summary.append(f"{layers},{sym},{mean:.17g},{std:.17g}\n")
+        table.append(f"| {layers} | {sym} | {mean:.6e} | {std:.6e} | {len(finished)}/{runs} |\n")
     with open(out / "curves.csv", "w") as f:
         f.write("arch,symmetry,update,test_mse_mean,test_mse_std\n")
         f.writelines(curves)
     with open(out / "summary.csv", "w") as f:
         f.write("arch,symmetry,final_test_mse_mean,final_test_mse_std\n")
-        for layers, sym, mean, std, _ in summary_rows:
-            f.write(f"{layers},{sym},{mean:.17g},{std:.17g}\n")
+        f.writelines(summary)
 
     with open(out / "report.md", "w") as f:
         f.write(f"# Dynamics learning comparison: {dataset.env_id}\n\n")
@@ -303,12 +291,9 @@ def _write_compare_reports(out, dataset, s, archs, width, runs, results, diverge
         )
         f.write("| arch | symmetry | final test mse (mean) | std | runs ok |\n")
         f.write("|------|----------|----------------------|-----|--------|\n")
-        for layers, sym, mean, std, ok in summary_rows:
-            f.write(f"| {layers} | {sym} | {mean:.6e} | {std:.6e} | {ok}/{runs} |\n")
+        f.writelines(table)
         if diverged:
-            f.write("\nDiverged runs: ")
-            f.write(", ".join(f"arch={a} {lbl} seed={sd}" for a, lbl, sd in diverged))
-            f.write("\n")
+            f.write(f"\nDiverged runs: {', '.join(diverged)}\n")
 
 
 # -- verify --------------------------------------------------------------------

@@ -105,6 +105,15 @@ def _reacher_fingertip(th1, th2):
     return fy, fz
 
 
+def _reacher_observation(th1, th2, target, w, height) -> np.ndarray:
+    """The 11-dimensional observation of joint angles ``th1`` and ``th2``, the
+    ``target`` pair, joint velocities ``w`` and the fingertip height; the
+    arrays broadcast against each other."""
+    (ty, tz), (fy, fz) = target, _reacher_fingertip(th1, th2)
+    return np.stack(np.broadcast_arrays(np.cos(th1), np.cos(th2), np.sin(th1), np.sin(th2),
+                                        ty, tz, *w, fy - ty, fz - tz, height), axis=-1)
+
+
 def reacher_step(x, u) -> np.ndarray:
     """Two-link reacher step on the 11-dimensional observation.
 
@@ -125,21 +134,8 @@ def reacher_step(x, u) -> np.ndarray:
     new_th2 = th2 + w2 * REACHER_DT
     new_w1 = w1 + (tau[..., 0] - REACHER_DAMPING * w1) / REACHER_INERTIA * REACHER_DT
     new_w2 = w2 + (tau[..., 1] - REACHER_DAMPING * w2) / REACHER_INERTIA * REACHER_DT
-    fy, fz = _reacher_fingertip(new_th1, new_th2)
-    shape = np.broadcast_shapes(xv.shape[:-1], uv.shape[:-1])
-    out = np.empty(shape + (11,))
-    out[..., 0] = np.cos(new_th1)
-    out[..., 1] = np.cos(new_th2)
-    out[..., 2] = np.sin(new_th1)
-    out[..., 3] = np.sin(new_th2)
-    out[..., 4] = xv[..., 4]
-    out[..., 5] = xv[..., 5]
-    out[..., 6] = new_w1
-    out[..., 7] = new_w2
-    out[..., 8] = fy - xv[..., 4]
-    out[..., 9] = fz - xv[..., 5]
-    out[..., 10] = xv[..., 10]
-    return out
+    return _reacher_observation(new_th1, new_th2, (xv[..., 4], xv[..., 5]),
+                                (new_w1, new_w2), xv[..., 10])
 
 
 # -- initial states ----------------------------------------------------------
@@ -177,12 +173,8 @@ def reacher_initial_state(draws) -> np.ndarray:
     # Target uniform over the reachable disk of radius 2 * link length.
     radius = 2.0 * REACHER_LINK * np.sqrt(d[4])
     t_ang = scale(d[5], *ANGLE_RANGE)
-    ty, tz = radius * np.cos(t_ang), radius * np.sin(t_ang)
-    fy, fz = _reacher_fingertip(th1, th2)
-    return np.stack(
-        [np.cos(th1), np.cos(th2), np.sin(th1), np.sin(th2),
-         ty, tz, w1, w2, fy - ty, fz - tz, np.zeros_like(th1)], axis=-1
-    )
+    return _reacher_observation(th1, th2, (radius * np.cos(t_ang), radius * np.sin(t_ang)),
+                                (w1, w2), 0.0)
 
 
 # -- control policies --------------------------------------------------------

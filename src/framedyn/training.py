@@ -98,7 +98,11 @@ def train_test_split(count: int, test_fraction: float, split_seed: int):
 
 
 def check_model_dataset(model, dataset: TransitionDataset):
-    """Reject a model whose state and control sizes differ from the dataset's."""
+    """Reject a dataset too small to split into train and test rows, and a
+    model whose state and control sizes differ from the dataset's."""
+    if len(dataset) < 2:
+        raise ValueError("cannot train on an empty or one-transition dataset: need at least "
+                         f"2 transitions, got {len(dataset)}")
     if (model.n, model.n_u) != (dataset.n, dataset.n_u):
         group = getattr(model, "group", None)
         what = f"group '{group.group_id}'" if group else "baseline model"
@@ -188,8 +192,6 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
     Raises :class:`TrainingDivergedError` when the batch loss or an evaluation
     turns non-finite.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
     check_model_dataset(model, dataset)
     regressor = model.regressor
     split_seed = config.split_seed

@@ -277,15 +277,26 @@ class TestCompare:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert not out_dir.exists()
 
-    def test_workers_give_same_summary(self, dataset_path, tmp_path):
-        kwargs = ["--archs", "1", "--hidden-size", "8", "--runs", "2",
+    def test_workers_give_same_summary(self, dataset_path, tmp_path, capsys):
+        # At lr 1e60 some cells diverge (arch 2 mixes a finished and a
+        # diverged symmetry run), so every output depends on the cell order.
+        kwargs = ["--archs", "1,2", "--hidden-size", "8", "--runs", "2", "--lr", "1e60",
                   "--updates", "20", "--eval-every", "10", "--seed", "3"]
-        d1, d2 = tmp_path / "w1", tmp_path / "w2"
-        assert run(["compare", "--data", str(dataset_path), *kwargs,
-                    "--workers", "1", "--out-dir", str(d1)]) == 0
-        assert run(["compare", "--data", str(dataset_path), *kwargs,
-                    "--workers", "2", "--out-dir", str(d2)]) == 0
-        assert (d1 / "summary.csv").read_text() == (d2 / "summary.csv").read_text()
+        outputs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"w{workers}"
+            assert run(["compare", "--data", str(dataset_path), *kwargs,
+                        "--workers", workers, "--out-dir", str(out_dir)]) == 0
+            files = {p.name: p.read_text().splitlines() for p in out_dir.iterdir()}
+            for name, lines in files.items():
+                if name.startswith("parking2_h"):  # drop the wall-time column
+                    files[name] = [line if line.startswith("#") else line.rsplit(",", 1)[0]
+                                   for line in lines]
+            outputs.append((files, capsys.readouterr().err))
+        assert outputs[0] == outputs[1]
+        files, err = outputs[0]
+        assert len(files) == 11 and err.count("diverged") == 3
+        assert "Diverged runs: arch=2 sym seed=4, " in "\n".join(files["report.md"])
 
     def test_workers_run_one_blas_thread(self, dataset_path, tmp_path, monkeypatch):
         # Two BLAS threads per worker oversubscribe the CPUs, so workers load
@@ -318,9 +329,10 @@ class TestCompare:
         submitted = []
 
         class Recording(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                submitted.append((*args, *kwargs.values()))
-                return super().submit(fn, *args, **kwargs)
+            def map(self, fn, *iterables, **kwargs):
+                tasks = list(zip(*iterables))
+                submitted.extend(tasks)
+                return super().map(fn, *zip(*tasks), **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         assert run(["compare", "--data", str(dataset_path), "--archs", "1",
@@ -382,6 +394,25 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err.startswith("error: --workers") and captured.err.count("\n") == 1
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_too_few_transitions_fail_before_any_output(dataset_path, tmp_path, capsys,
+                                                    command, rows):
+    ds = read_jsonl(dataset_path)
+    data = tmp_path / "small.jsonl"
+    write_jsonl(data, TransitionDataset(ds.env_id, ds.n, ds.n_u, ds.seed,
+                                        ds.x[:rows], ds.u[:rows], ds.x_next[:rows]))
+    outputs = {"train": ["--out-model", str(tmp_path / "m.fdm"),
+                         "--out-metrics", str(tmp_path / "m.csv")],
+               "compare": ["--archs", "1", "--runs", "1", "--out-dir", str(tmp_path / "cmp")]}
+    assert run([command, "--data", str(data), "--updates", "10", "--eval-every", "10",
+                *outputs[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["small.jsonl"]
 
 
 class TestVerify:

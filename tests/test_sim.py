@@ -154,6 +154,17 @@ class TestGenerateDataset:
         step = parking_step if env_id == "parking2" else reacher_step
         assert np.array_equal(step(ds.x, ds.u), ds.x_next)
 
+    @pytest.mark.parametrize("env_id, step", [("parking2", parking_step),
+                                              ("reacher", reacher_step)])
+    def test_step_broadcasts_one_state_or_one_control(self, env_id, step):
+        ds = generate_dataset(env_id, episodes=3, horizon=1, seed=5)
+        x, u = ds.x, ds.u
+        one_state = step(x[0], u)
+        one_control = step(x, u[0])
+        assert one_state.shape == one_control.shape == (3, ds.n)
+        assert one_state.tobytes() == np.stack([step(x[0], row) for row in u]).tobytes()
+        assert one_control.tobytes() == np.stack([step(row, u[0]) for row in x]).tobytes()
+
     def test_goal_seek_reduces_distance(self):
         uniform = generate_dataset("parking2", episodes=10, horizon=50, seed=7)
         seek = generate_dataset("parking2", episodes=10, horizon=50,
