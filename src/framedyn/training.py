@@ -372,6 +372,10 @@ def load_model(path, group: Union[TransformationGroup, str, None] = None):
             f"{path}: parameter block holds {len(raw)} bytes, expected {8 * count}"
         )
     params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise ModelFormatError(f"{path}: parameter {bad[0]} of {count} is {params[bad[0]]}, "
+                               f"not a finite value")
     mlp = {key: field(f"mlp.{key}", json_type) for key, json_type in (
         ("input_dim", int), ("output_dim", int), ("hidden_layers", list),
         ("activation", str), ("seed", int))}

@@ -167,10 +167,12 @@ class TestParkingProduct:
         assert np.array_equal(parking_group.act_state(parking_group.identity(), x), x)
 
     def test_controls_untouched(self, parking_group):
+        # No factor acts on controls, so u comes back itself, not a copy.
         rng = Rng(7)
         u = parking_group.random_control(rng, size=100)
         g = parking_group.random_element(rng, size=100)
-        assert np.array_equal(parking_group.act_control(g, u), u)
+        assert parking_group.act_control(g, u) is u
+        assert parking_group._act_control(g.coords, u) is u
 
 
 class ControlRotatingCar(SE2CarGroup):
@@ -185,6 +187,11 @@ class ControlRotatingCar(SE2CarGroup):
 def _mixed_product():
     return ProductGroup("mixed", [ControlRotatingCar("rc"), ControlRotatingCar("rc"),
                                   SE2CarGroup(), ConstantTranslationGroup(3)])
+
+
+def _late_control_product():
+    """A product whose control-acting factor sits in its second run."""
+    return ProductGroup("late", [SE2CarGroup(), ControlRotatingCar("rc")])
 
 
 def _factor_slices(group):
@@ -224,7 +231,7 @@ def test_product_structure_is_derived_from_factor_order(
 def test_stacked_runs_equal_factor_by_factor_maps(size):
     # Reference: each factor applied on its own slices, one call per factor.
     state, control, coords = 1, 2, 3  # slice fields of a _factor_slices entry
-    for group in (make_parking_group(), _mixed_product()):
+    for group in (make_parking_group(), _mixed_product(), _late_control_product()):
         rng = Rng(8)
         x = group.random_state(rng, size=size)
         u = group.random_control(rng, size=size)
@@ -250,6 +257,19 @@ def test_stacked_runs_equal_factor_by_factor_maps(size):
         frame = group._moving_frame(x)
         composed = (frame, group._act_state(frame, x), group._inverse(frame))
         assert [a.tobytes() for a in group._canonical(x)] == [a.tobytes() for a in composed]
+
+
+@pytest.mark.parametrize("make", [_mixed_product, _late_control_product])
+def test_one_element_acts_on_a_control_batch_and_back(make):
+    # Batch shapes broadcast whichever run holds the control-acting factor.
+    group = make()
+    rng = Rng(11)
+    g = group.random_element(rng)
+    u = group.random_control(rng, size=4)
+    got = group.act_control(g, u)
+    assert got.shape == (4, group.n_u)
+    assert group.act_control(group.random_element(rng, size=4), u[0]).shape == (4, group.n_u)
+    assert np.allclose(group.act_control(group.inverse(g), got), u, atol=1e-12)
 
 
 def test_singular_factor_in_a_later_run_is_named_by_its_position():

@@ -543,6 +543,24 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError, match="parameter block"):
             load_model(path)
 
+    @pytest.mark.parametrize("baseline", [False, True], ids=["symmetry", "baseline"])
+    @pytest.mark.parametrize("which", ["first", "last"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameter_rejected(self, tmp_path, parking_group, value, which,
+                                           baseline):
+        path = tmp_path / "m.fdm"
+        save_model(path, build_baseline_model(parking_group.n, parking_group.n_u, [8], seed=1)
+                   if baseline else build_symmetry_model(parking_group, [8], seed=1))
+        header, _, block = path.read_bytes().partition(b"\n")
+        params = np.frombuffer(block, dtype="<f8").copy()
+        index = 0 if which == "first" else len(params) - 1
+        params[index] = value
+        path.write_bytes(header + b"\n" + params.tobytes())
+        with pytest.raises(ModelFormatError,
+                           match=f"{re.escape(str(path))}: parameter {index} of {len(params)} "
+                                 f"is {re.escape(str(value))}, not a finite value"):
+            load_model(path)
+
     def test_version_mismatch_rejected(self, tmp_path, parking_group):
         import json
 
