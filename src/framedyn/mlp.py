@@ -46,10 +46,12 @@ class MlpSpec:
         return list(zip(dims[:-1], dims[1:]))
 
 
-def _activate(name, z):
-    """Apply the activation to ``z`` in place."""
+def _activate(name, z, zero_row):
+    """Apply the activation to ``z`` in place.  ``zero_row`` is zeros of
+    shape ``(1, width)``: against it numpy's ReLU takes its SIMD loop, against
+    a scalar 0.0 its strided one, at about twice the time for the same bits."""
     if name == "relu":
-        np.maximum(z, 0.0, out=z)
+        np.maximum(z, zero_row, out=z)
     else:
         np.tanh(z, out=z)
 
@@ -82,6 +84,7 @@ class Mlp:
         # weights each (fan_in, fan_out), biases each (fan_out,)
         self.weights, self.biases = _layer_views(spec, self.flat_params)
         self._grad_w, self._grad_b = _layer_views(spec, self.flat_grads)
+        self._zero_rows = [np.zeros((1, w)) for w in spec.hidden_layers]
 
     @classmethod
     def from_spec(cls, spec: MlpSpec) -> "Mlp":
@@ -105,7 +108,7 @@ class Mlp:
             raise ValueError(
                 f"input length {arr.shape[-1]} does not match input_dim {self.input_dim}"
             )
-        return np.atleast_2d(arr), arr.ndim == 1
+        return (arr[None] if arr.ndim == 1 else arr), arr.ndim == 1
 
     def _propagate(self, h, inputs):
         """Run the layers, appending each layer's input to ``inputs`` if given."""
@@ -116,7 +119,7 @@ class Mlp:
             h = h @ w
             h += b
             if i != last:
-                _activate(self.spec.activation, h)
+                _activate(self.spec.activation, h, self._zero_rows[i])
         return h
 
     def forward(self, x) -> np.ndarray:

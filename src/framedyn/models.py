@@ -13,13 +13,15 @@ Both models support two regression targets: ``absolute`` (predict the next
 state directly) and ``delta`` (predict next state minus current state, the
 usual choice).
 
-``predict`` and ``training_target`` share one private encode path per model
-that validates the inputs once (next states must have the states' shape).
-The symmetry model's path then works on the group's raw coordinate maps:
-one ``_canonical`` pass per call gives the moving frame, the framed state
-and the inverse frame.  For both models the decode context is a tuple of
-per-row arrays, so a caller can decode any block of rows by slicing each of
-them.
+Both models share one contract, ``_OneStepModel``: the construction checks,
+the input check, the target rule and the private ``_encode``/``_decode``
+path of ``predict`` and ``training_target``.  ``x`` must have last axis
+``n``, ``u`` last axis ``n_u`` with one control row per state row, ``x_next``
+the shape of ``x``, and every value must be finite, or a ``ValueError`` names
+the shapes.  Each model supplies only its canonicalization: the symmetry
+model's is one ``_canonical`` pass per call, the baseline's the identity.
+The decode context is a tuple of per-row arrays, so a caller can decode any
+block of rows by slicing each of them.
 
 Predictions are returned exactly as the regressor produces them; unit-norm
 pairs (headings, joint directions) are not renormalized, so repeated rollout
@@ -35,25 +37,67 @@ from .groups import TransformationGroup
 MODES = ("delta", "absolute")
 
 
-def _check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
+class _OneStepModel:
+    """What both models share.  A subclass supplies ``_frame(x, u)``: it
+    checks the finiteness of what it reads and returns the frame, the
+    regressor inputs and the decode context.  The context's first array
+    begins with the framed state; its last is what ``_carry`` takes to carry
+    a prediction back (``_carry`` is the identity unless overridden)."""
+
+    def __init__(self, n: int, n_u: int, regressor, mode: str, input_dim: int,
+                 input_size: str):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        self.n, self.n_u, self.regressor, self.mode = n, n_u, regressor, mode
+        self.input_dim, self.output_dim = input_dim, n
+        in_dim = getattr(regressor, "input_dim", None)
+        out_dim = getattr(regressor, "output_dim", None)
+        if in_dim is not None and in_dim != input_dim:
+            raise ValueError(f"regressor input arity {in_dim} does not match {input_size}")
+        if out_dim is not None and out_dim != n:
+            raise ValueError(f"regressor output arity {out_dim} does not match state size {n}")
+
+    def _encode(self, x, u, x_next=None):
+        """Check the inputs, then give the regressor inputs, the decode context
+        and the targets for ``x_next``: the framed next state (absolute mode)
+        or its difference from the framed state (delta mode)."""
+        x = np.asarray(x, dtype=np.float64)
+        u = np.asarray(u, dtype=np.float64)
+        if x.shape[-1:] != (self.n,) or u.shape != x.shape[:-1] + (self.n_u,):
+            raise ValueError(f"state of shape {x.shape} and control of shape {u.shape} do not fit "
+                             f"n={self.n}, n_u={self.n_u} with one control row per state row")
+        frame, inputs, context = self._frame(x, u)
+        targets = None
+        if x_next is not None:
+            x_next = np.asarray(x_next, dtype=np.float64)
+            if x_next.shape != x.shape:
+                raise ValueError(f"next state shape {x_next.shape} differs from state {x.shape}")
+            self._require_finite(x_next, "next state")
+            targets = self._carry(frame, x_next)
+            if self.mode == "delta":
+                targets = targets - context[0][..., :self.n]
+        return inputs, context, targets
+
+    @staticmethod
+    def _require_finite(a, what):
+        # count_nonzero, not all(): the same answer without all()'s Python layer
+        if np.count_nonzero(np.isfinite(a)) < a.size:
+            raise ValueError(f"non-finite values in {what} of shape {a.shape}")
+
+    def _decode(self, context, out) -> np.ndarray:
+        """Carry the regressor output back to original coordinates."""
+        out = np.asarray(out, dtype=np.float64)
+        if out.shape[-1] != self.n:
+            raise ValueError(f"regressor returned arity {out.shape[-1]}, expected {self.n}")
+        if self.mode == "delta":
+            out = out + context[0][..., :self.n]
+        return self._carry(context[-1], out)
+
+    def _carry(self, element, states):
+        return states
 
 
-def _check_arity(regressor, input_dim: int, output_dim: int, input_size: str) -> None:
-    """Reject a regressor whose declared arities do not fit the model."""
-    in_dim = getattr(regressor, "input_dim", None)
-    out_dim = getattr(regressor, "output_dim", None)
-    if in_dim is not None and in_dim != input_dim:
-        raise ValueError(f"regressor input arity {in_dim} does not match {input_size}")
-    if out_dim is not None and out_dim != output_dim:
-        raise ValueError(
-            f"regressor output arity {out_dim} does not match state size {output_dim}"
-        )
-
-
-class SymmetryReducedModel:
+class SymmetryReducedModel(_OneStepModel):
     """Group-invariant one-step dynamics model.
 
     ``regressor`` must map vectors of length ``group.b_dim + group.n_u`` to
@@ -64,53 +108,27 @@ class SymmetryReducedModel:
 
     def __init__(self, group: TransformationGroup, regressor, mode: str = "delta"):
         self.group = group
-        self.n, self.n_u = group.n, group.n_u
-        self.regressor = regressor
-        self.mode = _check_mode(mode)
-        self.input_dim = group.b_dim + group.n_u
-        self.output_dim = group.n
-        _check_arity(regressor, self.input_dim, self.output_dim,
-                     f"reduced input size {self.input_dim} "
-                     f"(= b_dim {group.b_dim} + n_u {group.n_u})")
+        input_dim = group.b_dim + group.n_u
+        super().__init__(group.n, group.n_u, regressor, mode, input_dim,
+                         f"reduced input size {input_dim} "
+                         f"(= b_dim {group.b_dim} + n_u {group.n_u})")
 
-    def _encode(self, x, u, x_next=None):
-        """Regressor inputs (reduced state, then framed control), the decode
-        context (inverse frame, framed state) and the targets for ``x_next``."""
+    def _frame(self, x, u):
+        """The moving frame, the regressor inputs (reduced state, then framed
+        control) and the decode context (framed state, inverse frame)."""
+        self._require_finite(x, "state")
+        self._require_finite(u, "control")
         group = self.group
-        xv = group._require_vector(x, group.n, "state")
-        uv = group._require_vector(u, group.n_u, "control")
-        frame, framed, inverse = group._canonical(xv)
-        targets = None
-        if x_next is not None:
-            xn = group._require_vector(x_next, group.n, "next state")
-            if xn.shape != xv.shape:
-                raise ValueError(f"next state shape {xn.shape} differs from state {xv.shape}")
-            targets = group._act_state(frame, xn)
-            if self.mode == "delta":
-                targets = targets - framed
-        # Built after the targets, so that it is not held with their temporaries.
+        frame, framed, inverse = group._canonical(x)
         inputs = np.concatenate(
-            [framed[..., group.b_indices], group._act_control(frame, uv)], axis=-1
-        )
-        return inputs, (inverse, framed), targets
+            [framed[..., group.b_indices], group._act_control(frame, u)], axis=-1)
+        return frame, inputs, (framed, inverse)
 
-    def _decode(self, context, out) -> np.ndarray:
-        """Carry the regressor output back to original coordinates."""
-        group = self.group
-        inverse, framed = context
-        out = np.asarray(out, dtype=np.float64)
-        if out.shape[-1] != group.n:
-            raise ValueError(
-                f"regressor returned arity {out.shape[-1]}, expected {group.n}"
-            )
-        if self.mode == "delta":
-            out = out + framed
-        return group._act_state(inverse, out)
+    def _carry(self, element, states):
+        return self.group._act_state(element, states)
 
     def predict(self, x, u) -> np.ndarray:
-        """One-step prediction; invariant under the group action for any
-        regressor.
-        """
+        """One-step prediction, invariant under the group action for any regressor."""
         inputs, context, _ = self._encode(x, u)
         return self._decode(context, self.regressor(inputs))
 
@@ -126,47 +144,21 @@ class SymmetryReducedModel:
         return inputs, targets
 
 
-class BaselineModel:
+class BaselineModel(_OneStepModel):
     """Unreduced one-step model: the regressor sees raw (state, control)."""
 
     def __init__(self, n: int, n_u: int, regressor, mode: str = "delta"):
-        self.n = int(n)
-        self.n_u = int(n_u)
-        self.regressor = regressor
-        self.mode = _check_mode(mode)
-        self.input_dim = self.n + self.n_u
-        self.output_dim = self.n
-        _check_arity(regressor, self.input_dim, self.output_dim,
-                     f"n + n_u = {self.input_dim}")
-        if self.n < 1 or self.n_u < 0:
+        n, n_u = int(n), int(n_u)
+        super().__init__(n, n_u, regressor, mode, n + n_u, f"n + n_u = {n + n_u}")
+        if n < 1 or n_u < 0:
             raise ValueError(f"sizes must be n >= 1 and n_u >= 0, got n={n}, n_u={n_u}")
 
-    def _encode(self, x, u, x_next=None):
-        """Regressor inputs, the decode context (a tuple of the inputs, whose
-        first ``n`` columns are the state) and the targets."""
-        xv = np.asarray(x, dtype=np.float64)
-        uv = np.asarray(u, dtype=np.float64)
-        if xv.shape[-1] != self.n:
-            raise ValueError(f"state must have last axis {self.n}, got {xv.shape}")
-        if uv.shape[-1] != self.n_u:
-            raise ValueError(f"control must have last axis {self.n_u}, got {uv.shape}")
-        targets = None
-        if x_next is not None:
-            xn = np.asarray(x_next, dtype=np.float64)
-            if xn.shape != xv.shape:
-                raise ValueError(f"next state shape {xn.shape} differs from state {xv.shape}")
-            targets = xn if self.mode == "absolute" else xn - xv
-        inputs = np.concatenate([xv, uv], axis=-1)
-        return inputs, (inputs,), targets
-
-    def _decode(self, context, out) -> np.ndarray:
-        xv = context[0][..., :self.n]
-        out = np.asarray(out, dtype=np.float64)
-        if out.shape[-1] != self.n:
-            raise ValueError(f"regressor returned arity {out.shape[-1]}, expected {self.n}")
-        if self.mode == "absolute":
-            return out
-        return xv + out
+    def _frame(self, x, u):
+        """The identity frame: the inputs are ``[x, u]``, and so is the context,
+        whose first ``n`` columns are the state."""
+        inputs = np.concatenate((x, u), axis=-1)
+        self._require_finite(inputs, "[state, control]")
+        return None, inputs, (inputs,)
 
     def predict(self, x, u) -> np.ndarray:
         inputs, context, _ = self._encode(x, u)

@@ -178,7 +178,7 @@ def _probe_losses(spec, params, x, y, coords, step, base_signs):
         h = np.matmul(h, w)
         h += b[:, None]
         if i != len(weights) - 1:
-            _activate(spec.activation, h)
+            _activate(spec.activation, h, np.zeros((1, h.shape[-1])))
             if spec.activation == "relu":
                 kink |= ((h > 0.0) != base_signs[i]).any(axis=(1, 2))
     d = h - y

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -198,15 +200,45 @@ def test_baseline_sizes_below_range_rejected(n, n_u, regressor):
         BaselineModel(n, n_u, regressor)
 
 
+def _parking_model(kind, group):
+    if kind == "sym":
+        return _random_model(group, "delta")
+    return build_baseline_model(group.n, group.n_u, [8])
+
+
 @pytest.mark.parametrize("kind", ["sym", "base"])
 def test_mismatched_next_state_is_rejected(kind, parking_group, small_parking_dataset):
     # One next state for five transitions used to broadcast into five targets.
     ds = small_parking_dataset
-    if kind == "sym":
-        model = _random_model(parking_group, "delta")
-    else:
-        model = build_baseline_model(ds.n, ds.n_u, [8])
+    model = _parking_model(kind, parking_group)
     with pytest.raises(ValueError, match="next state"):
         model.training_target(ds.x[:5], ds.u[:5], ds.x_next[0])
     _, targets = model.training_target(ds.x[:5], ds.u[:5], ds.x_next[:5])
     assert targets.shape == (5, 24)
+
+
+@pytest.mark.parametrize("kind", ["sym", "base"])
+def test_one_control_for_a_state_batch_is_rejected(kind, parking_group, small_parking_dataset):
+    # Both models used to fail inside np.concatenate, with numpy's message.
+    ds = small_parking_dataset
+    model = _parking_model(kind, parking_group)
+    names_both = re.escape("state of shape (3, 24) and control of shape (4,)")
+    with pytest.raises(ValueError, match=names_both):
+        model.predict(ds.x[:3], ds.u[0])
+    with pytest.raises(ValueError, match=names_both):
+        model.training_target(ds.x[:3], ds.u[0], ds.x_next[:3])
+
+
+@pytest.mark.parametrize("kind", ["sym", "base"])
+@pytest.mark.parametrize("field, value", [("x", np.nan), ("u", np.inf), ("x_next", -np.inf)])
+def test_non_finite_input_is_rejected(kind, field, value, parking_group, small_parking_dataset):
+    # The baseline used to take a NaN in and give a NaN out.
+    ds = small_parking_dataset
+    model = _parking_model(kind, parking_group)
+    args = {"x": ds.x[:5].copy(), "u": ds.u[:5].copy(), "x_next": ds.x_next[:5].copy()}
+    args[field][2, 1] = value
+    with pytest.raises(ValueError, match="non-finite values in"):
+        model.training_target(**args)
+    if field != "x_next":
+        with pytest.raises(ValueError, match="non-finite values in"):
+            model.predict(args["x"], args["u"])
