@@ -179,15 +179,24 @@ def _init_compare_worker(dataset):
     _worker_dataset = dataset
 
 
+# A finished run whose final test MSE exceeds this multiple of its update-0
+# test MSE ran away, and counts as diverged.  At lr 1, small parking2 grids
+# (6x10 and 10x20 files, width 8, 20-40 updates) end at 0.03-12.5 times their
+# start; at lr 1e60 finite runs reach 1e118-1e243 times it.
+_RUNAWAY_RATIO = 100.0
+
+
 def _compare_cell(settings, config, dataset=None):
+    """The run's records and whether it diverged: stopped non-finite, or ran away."""
     dataset = _worker_dataset if dataset is None else dataset
     layers = len(settings["hidden"])
     init_seed = derive_seed(config.seed, "init", layers, int(settings["symmetry"]))
     model = _build_model(dataset, settings, init_seed)
     try:
-        return train(model, dataset, config), False
+        records = train(model, dataset, config)
     except TrainingDivergedError as e:
         return e.metrics, True
+    return records, records[-1].test_mse > _RUNAWAY_RATIO * records[0].test_mse
 
 
 def cmd_compare(args) -> int:

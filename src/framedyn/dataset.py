@@ -19,15 +19,15 @@ other line (other key order or spacing, extra keys) is decoded as a whole by
 the general JSON decoder, with the same result.  The reader rejects records
 holding anything but lists of numbers (strings, ``true``, ``null``, ``NaN``,
 ...), numbers beyond the float64 range and bytes that are not UTF-8, with the
-file and line.
+file and line; of several faults it names the first line in file order.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,6 +180,10 @@ def _decode_record(path, lineno, line, n, n_u, decode):
         for name, values in (("x", x), ("u", u), ("xn", xn)):
             if set(map(type, values)) != {float}:
                 raise ValueError(f"'{name}' must be a list of numbers")
+            # A number beyond the float64 range parses as an infinity.
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"'{name}' holds a non-finite value; numbers must lie "
+                                 "within the float64 range")
     except DatasetFormatError:
         raise
     # ValueError covers JSONDecodeError; RecursionError is a list nested
@@ -225,16 +229,17 @@ def read_jsonl(path) -> TransitionDataset:
         # end) or raises StopIteration where no value starts.
         decode, scan_once = _RECORD_DECODER.decode, _RECORD_DECODER.scan_once
         rows = 0
-        blank_before = []  # rows read before each blank line: the row-to-line map
         chain = None  # the previous row's x_next list text, if that row was scanned
         # Scanned rows not yet stored, the last rows read: (lineno, line, x, u,
         # xn), x None where the row's x is the previous row's x_next.
         pending = []
 
         def store_pending():
-            # One conversion per field for the whole block; where a row does not
-            # convert, the rows are stored one at a time, and the first that
-            # fails is decoded whole, which reports what is wrong with it.
+            # One conversion and one finiteness check per field for the whole
+            # block.  A block that fails holds a non-number, or a number beyond
+            # the float64 range (parsed as an infinity); _decode_record rejects
+            # both, so its rows are decoded whole in turn and the first bad one
+            # reports what is wrong with it.
             start = rows - len(pending)
             chained = np.array([row[2] is None for row in pending], dtype=bool)
             try:
@@ -244,18 +249,16 @@ def read_jsonl(path) -> TransitionDataset:
                                                     if row[2] is not None], n)
                 chained_rows = start + np.flatnonzero(chained)
                 xs[chained_rows] = xns[chained_rows - 1]
+                if not all(np.isfinite(a[start:rows]).all() for a in (xs, us, xns)):
+                    raise ValueError
             except (RecursionError, TypeError, ValueError):
-                for r, (lineno, line, x, u, xn) in enumerate(pending, start):
-                    try:
-                        xs[r], us[r], xns[r] = xns[r - 1] if x is None else x, u, xn
-                    except (RecursionError, TypeError, ValueError):
-                        xs[r], us[r], xns[r] = _decode_record(path, lineno, line, n, n_u,
-                                                              decode)
+                for lineno, line, *_ in pending:
+                    _decode_record(path, lineno, line, n, n_u, decode)
+                raise
             pending.clear()
 
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
-                blank_before.append(rows)
                 continue
             if rows >= count:
                 store_pending()
@@ -290,17 +293,6 @@ def read_jsonl(path) -> TransitionDataset:
             raise DatasetFormatError(
                 f"{path}: header count {count} does not match {rows} data lines"
             )
-    # A number beyond the float64 range parses as an infinity.
-    fields = (("x", xs), ("u", us), ("xn", xns))
-    finite = np.logical_and.reduce([np.isfinite(arr).all(axis=1) for _, arr in fields])
-    if not finite.all():
-        row = int(np.argmin(finite))
-        name = next(name for name, arr in fields if not np.isfinite(arr[row]).all())
-        raise DatasetFormatError(
-            f"{path}: line {row + 2 + bisect.bisect_right(blank_before, row)}: malformed "
-            f"record: '{name}' holds a non-finite value; numbers must lie within the "
-            f"float64 range"
-        )
     return TransitionDataset(
         env_id=header["env_id"], n=n, n_u=n_u, seed=header["seed"],
         x=xs, u=us, x_next=xns,

@@ -116,28 +116,25 @@ def _encode_split(model, dataset: TransitionDataset, indices):
     """Regressor inputs, decode context and targets at ``indices``, encoded
     ``_EVAL_ROWS`` rows at a time into arrays made after the first block: the
     maps work row by row, so these hold the bits of one pass, with no
-    split-sized temporary.  An array the encode returns twice is held once."""
+    split-sized temporary.  An array the encode returns twice is held once.
+    A singular frame is named by the dataset row of the first singular row
+    of the first block that fails."""
     rows, split = len(indices), None
-    try:
-        for start in range(0, max(rows, 1), _EVAL_ROWS):
-            j = indices[start:start + _EVAL_ROWS]
-            inputs, context, targets = model._encode(dataset.x[j], dataset.u[j], dataset.x_next[j])
-            block = (inputs, *context, targets)
-            if split is None:
-                held = {id(a): a.shape[1:] for a in block}
-                held = {key: np.empty((rows,) + tail) for key, tail in held.items()}
-                split = [held[id(a)] for a in block]
-            for whole, part in zip(split, block):
-                whole[start:start + len(j)] = part
-    except ValueError:  # raised again by one pass, which names the split's first bad row
+    for start in range(0, max(rows, 1), _EVAL_ROWS):
+        j = indices[start:start + _EVAL_ROWS]
         try:
-            model._encode(dataset.x[indices], dataset.u[indices], dataset.x_next[indices])
+            inputs, context, targets = model._encode(dataset.x[j], dataset.u[j], dataset.x_next[j])
         except FrameSingularityError as e:
             if len(getattr(e, "index", ())) != 1:
                 raise
-            row = np.arange(len(dataset))[indices][e.index[0]]
-            raise singular_frame(e.reason, [row], "dataset row", e.factor) from None
-        raise
+            raise singular_frame(e.reason, [j[e.index[0]]], "dataset row", e.factor) from None
+        block = (inputs, *context, targets)
+        if split is None:
+            held = {id(a): a.shape[1:] for a in block}
+            held = {key: np.empty((rows,) + tail) for key, tail in held.items()}
+            split = [held[id(a)] for a in block]
+        for whole, part in zip(split, block):
+            whole[start:start + len(j)] = part
     return split[0], tuple(split[1:-1]), split[-1]
 
 

@@ -11,7 +11,7 @@ import pytest
 from framedyn import cli
 from framedyn.cli import build_parser, load_config, main
 from framedyn.dataset import TransitionDataset, read_jsonl, write_jsonl
-from framedyn.training import read_metrics_csv
+from framedyn.training import MetricRecord, TrainingDivergedError, read_metrics_csv
 
 
 def run(argv):
@@ -278,9 +278,9 @@ class TestCompare:
         assert not out_dir.exists()
 
     def test_workers_give_same_summary(self, dataset_path, tmp_path, capsys):
-        # At lr 1e60 some cells diverge (arch 2 mixes a finished and a
-        # diverged symmetry run), so every output depends on the cell order.
-        kwargs = ["--archs", "1,2", "--hidden-size", "8", "--runs", "2", "--lr", "1e60",
+        # At lr 3 some runs run away (arch 2 mixes a finished and a diverged
+        # symmetry run), so every output depends on the cell order.
+        kwargs = ["--archs", "1,2", "--hidden-size", "8", "--runs", "2", "--lr", "3",
                   "--updates", "20", "--eval-every", "10", "--seed", "3"]
         outputs = []
         for workers in ("1", "2"):
@@ -297,6 +297,31 @@ class TestCompare:
         files, err = outputs[0]
         assert len(files) == 11 and err.count("diverged") == 3
         assert "Diverged runs: arch=2 sym seed=4, " in "\n".join(files["report.md"])
+
+    def test_runaway_runs_count_as_diverged(self, dataset_path, tmp_path, capsys,
+                                            monkeypatch):
+        # Run 0 ends slightly above its update-0 test MSE, run 1 far above it
+        # and run 2 stops on a non-finite loss: only run 0 enters the mean.
+        def fake_train(model, dataset, config):
+            first = MetricRecord(0, 1.0, 0.04, 0.0)
+            if config.seed == 2:
+                raise TrainingDivergedError("non-finite batch loss at update 5", [first])
+            growth = {0: 1.006, 1: 1e3}[config.seed]
+            return [first, MetricRecord(10, 1.0, 0.04 * growth, 0.0)]
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        out_dir = tmp_path / "cmp"
+        assert run(["compare", "--data", str(dataset_path), "--archs", "1", "--runs", "3",
+                    "--updates", "10", "--eval-every", "10", "--seed", "0",
+                    "--out-dir", str(out_dir)]) == 0
+        err = capsys.readouterr().err
+        for label in ("sym", "base"):
+            for seed in (1, 2):
+                assert f"warning: run arch=1 {label} seed={seed} diverged" in err
+            assert f"arch=1 {label} seed=0" not in err
+        summary = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert summary == [f"1,{sym},{0.04 * 1.006:.17g},0" for sym in ("on", "off")]
+        assert (out_dir / "report.md").read_text().count("| 1/3 |") == 2
 
     def test_workers_run_one_blas_thread(self, dataset_path, tmp_path, monkeypatch):
         # Two BLAS threads per worker oversubscribe the CPUs, so workers load

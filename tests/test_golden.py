@@ -240,16 +240,18 @@ GOLDEN_RNG_CHUNK_DIGESTS = {
 
 # compare on a parking2 6x10 file (seed 1), archs 1,2 at width 8, 40 updates
 # evaluated every 20: case -> (extra flags, sha256 prefixes of summary.csv,
-# curves.csv and report.md).  At lr 1e60 both runs of the 2-layer symmetry
-# cell diverge (a NaN summary row and the "Diverged runs" line); at 1e120 all
-# but one run diverge, so one cell aggregates a single finished run.
+# curves.csv and report.md).  A run that ends above 100 times its update-0
+# test MSE counts as diverged.  At lr 7 both runs of the 2-layer symmetry cell
+# run away (118 and 334 times), giving a NaN summary row and the "Diverged
+# runs" line; at lr 10 the 1-layer symmetry cell keeps one run (23 times) and
+# loses the other (253 times), so it aggregates a single finished run.
 GOLDEN_COMPARE_DIGESTS = {
     "converging": (["--runs", "3"],
                    ("65c501142a94f31c", "3e9a2f55e5fc349a", "2efac89900d8781e")),
-    "one-cell-diverges": (["--runs", "2", "--lr", "1e60"],
-                          ("64a02e84a80a71b9", "0f6ebd57ae97f34f", "1a151b8b009a49d3")),
-    "partly-diverges": (["--runs", "2", "--lr", "1e120"],
-                        ("9285881131bd94ea", "15b2fbc22779851e", "8350fdf61728f501")),
+    "one-cell-diverges": (["--runs", "2", "--lr", "7"],
+                          ("31b6509e02f179f0", "d441b0a6ea2dae43", "efbdc8ba22b61aca")),
+    "partly-diverges": (["--runs", "2", "--lr", "10"],
+                        ("a8e3cec0aa917b33", "42ac3bece92fb151", "e75edcf2b69820ab")),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -436,6 +437,33 @@ class TestJsonl:
             read_jsonl(path)
         assert str(e.value) == f"{path}: line 302: malformed record: 'u' must be a list of numbers"
 
+    @pytest.mark.parametrize("case, fields, named", [
+        pytest.param(case, fields, named, id=case) for case, fields, named in (
+            ("scanned-then-true", ("u",), "u"),
+            ("scanned-then-surplus", ("u",), "u"),
+            ("chained-then-true", ("xn", "u"), "u"),
+            ("whole-line-then-true", ("u", "x"), "x"))])
+    def test_first_bad_line_in_file_order_is_named(self, tmp_path, case, fields, named):
+        # Line 3, whose x is line 2's x_next text, holds numbers beyond the
+        # float64 range; a later line is malformed (line 5) or surplus (line
+        # 6).  Line 3 is named, and in it the first bad field of x, u, xn.
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, generate_dataset("reacher", episodes=1, horizon=4, seed=1))
+        header, *records = path.read_text().splitlines(keepends=True)
+        for field in fields:
+            records[1] = re.sub(rf'"{field}": \[[^,]*', f'"{field}": [1e400', records[1], count=1)
+        if case.startswith("whole-line"):
+            records[1] = _reorder_keys(records[1])
+        if case.endswith("surplus"):
+            records.append(records[-1])
+        else:
+            records[3] = re.sub(r'"u": \[[^,]*', '"u": [true', records[3], count=1)
+        path.write_text(header + "".join(records))
+        with pytest.raises(DatasetFormatError) as e:
+            read_jsonl(path)
+        assert str(e.value) == (f"{path}: line 3: malformed record: '{named}' holds a "
+                                "non-finite value; numbers must lie within the float64 range")
+
     @pytest.mark.parametrize("field, shape", [("x", (4, 22)), ("u", (8, 1)), ("xn", (8, 12))])
     def test_wrong_row_width_rejected(self, field, shape):
         arrays = {"x": np.zeros((8, 11)), "u": np.zeros((8, 2)), "xn": np.zeros((8, 11))}
@@ -466,6 +494,50 @@ class TestJsonl:
         path2 = tmp_path / "d2.jsonl"
         write_jsonl(path2, back)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_roundtrip_is_exact_on_drawn_datasets(self, tmp_path):
+        # Small datasets of finite float64, with edge values drawn often and
+        # rows chained (x[i] bit-equal to x_next[i - 1]), equal to it with
+        # each zero's sign flipped, or not linked to it: the reader
+        # returns the written bits, as the per-line oracle does, and writing
+        # them again gives the same bytes.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                 1e-310, 1.7976931348623157e308, -1.7976931348623157e308])
+        values = st.one_of(edges, st.integers(-2**63, 2**63).map(float),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        # A fresh pair of files per example: truncating a just-written file
+        # can wait on the disk far longer than writing a new one.
+        names = itertools.count()
+
+        def bits(ds):
+            return [ds.env_id, ds.n, ds.n_u, ds.seed,
+                    *(a.view(np.uint64).tolist() for a in (ds.x, ds.u, ds.x_next))]
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n, n_u, rows = (data.draw(st.integers(1, high)) for high in (4, 3, 6))
+            x, u, xn = (np.array(data.draw(st.lists(st.lists(values, min_size=w, max_size=w),
+                                                    min_size=rows, max_size=rows)))
+                        for w in (n, n_u, n))
+            for i in range(1, rows):
+                link = data.draw(st.sampled_from(["none", "bits", "value"]))
+                if link != "none":
+                    x[i] = xn[i - 1]
+                if link == "value":  # equal as numbers, not as bits
+                    x[i][x[i] == 0] *= -1
+            ds = TransitionDataset("toy", n, n_u, 0, x, u, xn)
+            path, again = (tmp_path / f"{next(names)}.jsonl" for _ in range(2))
+            write_jsonl(path, ds)
+            new, ref = _read_both(path)
+            assert new == ref == bits(ds)
+            write_jsonl(again, read_jsonl(path))
+            assert again.read_bytes() == path.read_bytes()
+
+        check()
 
     def test_header_fields(self, tmp_path):
         ds = generate_dataset("reacher", episodes=2, horizon=5, seed=12)

@@ -348,10 +348,11 @@ def test_blocked_encode_matches_one_pass(env, method, mode, default_parking_data
             assert context[0] is inputs  # the decode context is held once
 
 
-def test_blocked_encode_names_the_split_error_of_one_pass():
+def test_blocked_encode_names_the_first_failing_block_row():
     # The first block holds a singular car 2 (factor 2) and a later block a
-    # singular car 1 (factor 0); one pass walks the factors first, so it
-    # names car 1's row, and so must the blocked encode.
+    # singular car 1 (factor 0); the encode stops at the first block, so it
+    # names car 2's row, although one pass over the split would walk the
+    # factors first and name car 1's.
     from framedyn.builtin import ConstantTranslationGroup, ProductGroup, SE2CarGroup
     from framedyn.groups import FrameSingularityError
 
@@ -368,8 +369,8 @@ def test_blocked_encode_names_the_split_error_of_one_pass():
     with pytest.raises(FrameSingularityError) as e:
         training._encode_split(model, ds, np.arange(rows))
     assert str(e.value) == (
-        f"heading direction norm below 1e-08 in factor 0 ('se2car') at dataset row "
-        f"{rows - 50}; the frame is undefined there")
+        "heading direction norm below 1e-08 in factor 2 ('se2car') at dataset row 5; "
+        "the frame is undefined there")
 
 
 @pytest.mark.parametrize("method", ["sym", "base"])
