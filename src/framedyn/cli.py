@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import os
 import statistics
 import sys
@@ -98,6 +97,11 @@ _TRAIN_CONFIG_KEYS = ("batch_size", "updates", "eval_every", "test_fraction", "s
                       "split_seed")
 
 
+def _train_config(settings) -> TrainConfig:
+    return TrainConfig(learning_rate=settings["lr"],
+                       **{key: settings[key] for key in _TRAIN_CONFIG_KEYS})
+
+
 def _fitting_settings(args, dataset):
     """The shared fitting settings (echoed in metrics notes) and their
     TrainConfig; the group and update count default to the dataset's env."""
@@ -105,7 +109,7 @@ def _fitting_settings(args, dataset):
     s = {key: getattr(args, key) for key in ("mode", "activation", "lr", *_TRAIN_CONFIG_KEYS)}
     s["group_id"] = _or(args.group, dataset.env_id)
     s["updates"] = _or(args.updates, env.default_updates if env else TrainConfig.updates)
-    return s, TrainConfig(learning_rate=s["lr"], **{key: s[key] for key in _TRAIN_CONFIG_KEYS})
+    return s, _train_config(s)
 
 
 def _build_model(dataset, settings, init_seed):
@@ -137,6 +141,9 @@ def cmd_train(args) -> int:
     stem = str(Path(args.data).with_suffix(""))
     out_model = _or(args.out_model, f"{stem}_{label}.fdm")
     out_metrics = _or(args.out_metrics, f"{stem}_{label}_metrics.csv")
+    for path in (out_model, out_metrics):  # checked first: no run is lost to a bad path
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
 
     print(f"training {'symmetry' if s['symmetry'] else 'baseline'} model on {args.data}")
     print(f"model input dim: {model.input_dim}")
@@ -154,13 +161,8 @@ def cmd_train(args) -> int:
 
 
 def _metrics_note(settings, dataset) -> dict:
-    note = dict(settings)
-    note["hidden"] = list(note["hidden"])
-    note["env_id"] = dataset.env_id
-    note["adam_betas"] = list(ADAM_BETAS)
-    note["adam_eps"] = ADAM_EPS
-    note["loss"] = "mse"
-    return note
+    return {**settings, "hidden": list(settings["hidden"]), "env_id": dataset.env_id,
+            "adam_betas": list(ADAM_BETAS), "adam_eps": ADAM_EPS, "loss": "mse"}
 
 
 # -- compare -------------------------------------------------------------------
@@ -179,31 +181,23 @@ def _init_compare_worker(dataset):
     _worker_dataset = dataset
 
 
-# A finished run whose final test MSE exceeds this multiple of its update-0
-# test MSE ran away, and counts as diverged.  At lr 1, small parking2 grids
-# (6x10 and 10x20 files, width 8, 20-40 updates) end at 0.03-12.5 times their
-# start; at lr 1e60 finite runs reach 1e118-1e243 times it.
-_RUNAWAY_RATIO = 100.0
-
-
-def _compare_cell(settings, config, dataset=None):
-    """The run's records and whether it diverged: stopped non-finite, or ran away."""
+def _compare_cell(settings, dataset=None):
+    """The run's records and whether it diverged."""
     dataset = _worker_dataset if dataset is None else dataset
-    layers = len(settings["hidden"])
-    init_seed = derive_seed(config.seed, "init", layers, int(settings["symmetry"]))
+    init_seed = derive_seed(settings["seed"], "init", len(settings["hidden"]),
+                            int(settings["symmetry"]))
     model = _build_model(dataset, settings, init_seed)
     try:
-        records = train(model, dataset, config)
+        return train(model, dataset, _train_config(settings)), False
     except TrainingDivergedError as e:
         return e.metrics, True
-    return records, records[-1].test_mse > _RUNAWAY_RATIO * records[0].test_mse
 
 
 def cmd_compare(args) -> int:
     if args.data is None or args.out_dir is None:
         raise ValueError("--data and --out-dir are required")
     dataset = read_jsonl(args.data)
-    s, config = _fitting_settings(args, dataset)
+    s, _ = _fitting_settings(args, dataset)  # building its TrainConfig checks the values
     archs, runs, workers = args.archs, args.runs, args.workers
     width = _or(args.hidden_size, default_hidden(dataset.env_id))
     if runs < 1:
@@ -220,8 +214,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # The grid in report order: archs, then symmetry before baseline, then runs.
-    cells = [({**s, "symmetry": symmetry, "hidden": (width,) * layers, "seed": s["seed"] + run},
-              dataclasses.replace(config, seed=s["seed"] + run))
+    cells = [{**s, "symmetry": symmetry, "hidden": (width,) * layers, "seed": s["seed"] + run}
              for layers in archs for symmetry in (True, False) for run in range(runs)]
 
     print(
@@ -237,13 +230,13 @@ def cmd_compare(args) -> int:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
                     initializer=_init_compare_worker, initargs=(dataset,)) as pool:
-                results = list(pool.map(_compare_cell, *zip(*cells)))
+                results = list(pool.map(_compare_cell, cells))
         finally:  # restore the caller's environment
             for name in _BLAS_THREAD_VARS:
                 del os.environ[name]
             os.environ.update(saved)
     else:
-        results = [_compare_cell(*cell, dataset) for cell in cells]
+        results = [_compare_cell(cell, dataset) for cell in cells]
 
     _write_compare_reports(out, dataset, s, width, runs, cells, results)
     print(f"wrote per-run metrics, curves.csv, summary.csv and report.md to {out}")
@@ -261,7 +254,7 @@ def _write_compare_reports(out, dataset, s, width, runs, cells, results):
     """One metrics CSV per cell, then curves, summary and report, which take
     each ``runs`` consecutive cells as the runs of one (arch, method)."""
     curves, summary, table, diverged = [], [], [], []
-    for (settings, _), (records, bad) in zip(cells, results):
+    for settings, (records, bad) in zip(cells, results):
         layers, seed = len(settings["hidden"]), settings["seed"]
         label = "sym" if settings["symmetry"] else "base"
         write_metrics_csv(out / f"{dataset.env_id}_h{layers}_{label}_s{seed}.csv", records,
@@ -270,10 +263,9 @@ def _write_compare_reports(out, dataset, s, width, runs, cells, results):
             diverged.append(f"arch={layers} {label} seed={seed}")
             print(f"warning: run {diverged[-1]} diverged", file=sys.stderr)
     for first in range(0, len(cells), runs):
-        settings = cells[first][0]
+        settings = cells[first]
         layers, sym = len(settings["hidden"]), "on" if settings["symmetry"] else "off"
-        finished = [records for records, bad in results[first:first + runs]
-                    if not bad and records]
+        finished = [records for records, bad in results[first:first + runs] if not bad]
         for i in range(min((len(rr) for rr in finished), default=0)):
             mean, std = _mean_std([rr[i].test_mse for rr in finished])
             curves.append(f"{layers},{sym},{finished[0][i].update_index},"

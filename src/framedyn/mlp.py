@@ -46,16 +46,6 @@ class MlpSpec:
         return list(zip(dims[:-1], dims[1:]))
 
 
-def _activate(name, z, zero_row):
-    """Apply the activation to ``z`` in place.  ``zero_row`` is zeros of
-    shape ``(1, width)``: against it numpy's ReLU takes its SIMD loop, against
-    a scalar 0.0 its strided one, at about twice the time for the same bits."""
-    if name == "relu":
-        np.maximum(z, zero_row, out=z)
-    else:
-        np.tanh(z, out=z)
-
-
 def _layer_views(spec: MlpSpec, flat: np.ndarray):
     """Per-layer (weights, biases) views of a flat parameter-layout vector, or
     of a stack of them along leading axes."""
@@ -68,6 +58,27 @@ def _layer_views(spec: MlpSpec, flat: np.ndarray):
         biases.append(flat[..., offset : offset + fan_out])
         offset += fan_out
     return weights, biases
+
+
+def _propagate(weights, biases, activation, zero_rows, h, inputs=None):
+    """Run the layers on ``h``, appending each layer's input to ``inputs`` if
+    given.  Views of a stack of parameter vectors (:func:`_layer_views`) run
+    every network of the stack at once; biases broadcast over the batch.
+    ``zero_rows`` holds zeros of shape ``(1, width)`` per hidden layer: against
+    them numpy's ReLU takes its SIMD loop, against a scalar 0.0 its strided
+    one, at about twice the time for the same bits."""
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if inputs is not None:
+            inputs.append(h)
+        h = h @ w
+        h += b[..., None, :]
+        if i != last:
+            if activation == "relu":
+                np.maximum(h, zero_rows[i], out=h)
+            else:
+                np.tanh(h, out=h)
+    return h
 
 
 class Mlp:
@@ -110,21 +121,9 @@ class Mlp:
             )
         return (arr[None] if arr.ndim == 1 else arr), arr.ndim == 1
 
-    def _propagate(self, h, inputs):
-        """Run the layers, appending each layer's input to ``inputs`` if given."""
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if inputs is not None:
-                inputs.append(h)
-            h = h @ w
-            h += b
-            if i != last:
-                _activate(self.spec.activation, h, self._zero_rows[i])
-        return h
-
     def forward(self, x) -> np.ndarray:
         arr, single = self._check_input(x)
-        h = self._propagate(arr, None)
+        h = _propagate(self.weights, self.biases, self.spec.activation, self._zero_rows, arr)
         return h[0] if single else h
 
     __call__ = forward
@@ -133,7 +132,8 @@ class Mlp:
         """Forward pass keeping each layer's input (then activation) for backward."""
         arr, _ = self._check_input(x)
         inputs: list[np.ndarray] = []
-        return self._propagate(arr, inputs), inputs
+        return _propagate(self.weights, self.biases, self.spec.activation, self._zero_rows,
+                          arr, inputs), inputs
 
     def backward(self, cache, grad_out) -> None:
         """Gradients of a scalar loss w.r.t. every parameter, written into

@@ -47,10 +47,15 @@ _DRAW_UPDATES = 64
 # Rows per block of a split's encode and of an evaluation's regressor forward:
 # at width 128 a block's hidden activation is 0.5 MB, small enough for L2 cache.
 _EVAL_ROWS = 512
+# A run whose final test MSE exceeds this multiple of its update-0 test MSE
+# ran away, and counts as diverged.  At lr 1, small parking2 grids (6x10 and
+# 10x20 files, width 8, 20-40 updates) end at 0.03-12.5 times their start; at
+# lr 1e60 finite runs reach 1e118-1e243 times it.
+_RUNAWAY_RATIO = 100.0
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries the metrics recorded so far."""
+    """Loss became non-finite or the run ran away; carries the metrics recorded so far."""
 
     def __init__(self, message, metrics):
         super().__init__(message)
@@ -187,7 +192,8 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
     ``eval_every`` updates, and the final update.
 
     Raises :class:`TrainingDivergedError` when the batch loss or an evaluation
-    turns non-finite.
+    turns non-finite, or when the final test MSE exceeds 100 times the update-0
+    one (``_RUNAWAY_RATIO``); a spike that recovers before the end does not.
     """
     check_model_dataset(model, dataset)
     regressor = model.regressor
@@ -250,6 +256,10 @@ def train(model, dataset: TransitionDataset, config: TrainConfig) -> list[Metric
                 adam.step(regressor.flat_params, regressor.flat_grads)
             if update == next_record:
                 record(update)
+    first, final = records[0].test_mse, records[-1].test_mse
+    if final > _RUNAWAY_RATIO * first:
+        raise TrainingDivergedError(f"test mse ran away from {first:.6e} at update 0 to "
+                                    f"{final:.6e} at update {update}", records)
     return records
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .builtin import get_group
 from .groups import TransformationGroup
-from .mlp import Mlp, MlpSpec, _activate, _layer_views
+from .mlp import Mlp, MlpSpec, _layer_views, _propagate
 from .models import SymmetryReducedModel
 from .rng import Rng, derive_seed, uniform_rows
 from .sim import default_hidden, get_env
@@ -165,22 +165,18 @@ def check_sim_invariance(env_id: str, seed: int = 0, samples: int = 1000) -> Sui
     return SuiteResult("sim", env_id, samples, err, TOL_SIM, idx, seed)
 
 
-def _probe_losses(spec, params, x, y, coords, step, base_signs):
-    """Loss at ``params`` moved by +``step`` and by -``step`` on each of
+def _probe_losses(net, x, y, coords, step, base_signs):
+    """Loss at ``net``'s parameters moved by +``step`` and by -``step`` on each of
     ``coords``, as ``(len(coords), 2)``, and per coordinate whether either move
     flips the sign of a relu pre-activation.  Every probe network runs in one
     stacked forward pass."""
-    stack = np.repeat(params[None], 2 * len(coords), axis=0)  # +, - per coordinate
+    stack = np.repeat(net.flat_params[None], 2 * len(coords), axis=0)  # +, - per coordinate
     stack[np.arange(len(stack)), np.repeat(coords, 2)] += np.tile([step, -step], len(coords))
-    weights, biases = _layer_views(spec, stack)
-    h, kink = x, np.zeros(len(stack), dtype=bool)
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = np.matmul(h, w)
-        h += b[:, None]
-        if i != len(weights) - 1:
-            _activate(spec.activation, h, np.zeros((1, h.shape[-1])))
-            if spec.activation == "relu":
-                kink |= ((h > 0.0) != base_signs[i]).any(axis=(1, 2))
+    spec, inputs, kink = net.spec, [], np.zeros(len(stack), dtype=bool)
+    h = _propagate(*_layer_views(spec, stack), spec.activation, net._zero_rows, x, inputs)
+    if spec.activation == "relu":  # the hidden layers' inputs are their activations
+        for a, signs in zip(inputs[1:], base_signs):
+            kink |= ((a > 0.0) != signs).any(axis=(1, 2))
     d = h - y
     return np.mean(d * d, axis=(1, 2)).reshape(-1, 2), kink.reshape(-1, 2).any(axis=1)
 
@@ -215,13 +211,13 @@ def check_gradient_exactness(seed: int = 0, probes: int = 100) -> list[SuiteResu
             params = net.flat_params
             base_signs = [a > 0.0 for a in cache[1:]]
             coords = rng.integers(params.size, size=probes // nets)
-            losses, kinks = _probe_losses(spec, params, x, y, coords, step, base_signs)
+            losses, kinks = _probe_losses(net, x, y, coords, step, base_signs)
             for j, coord in enumerate(coords):
                 (f_plus, f_minus), kink = losses[j], kinks[j]
                 while kink:  # replacements are drawn one at a time, in probe order
                     coord = rng.integers(params.size)
                     ((f_plus, f_minus),), (kink,) = _probe_losses(
-                        spec, params, x, y, np.atleast_1d(coord), step, base_signs)
+                        net, x, y, np.atleast_1d(coord), step, base_signs)
                 fd = (f_plus - f_minus) / (2.0 * step)
                 bp = net.flat_grads[coord]
                 rel = abs(bp - fd) / max(abs(bp) + abs(fd), 1e-8)

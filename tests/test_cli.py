@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,16 @@ from framedyn.training import MetricRecord, TrainingDivergedError, read_metrics_
 
 def run(argv):
     return main(argv)
+
+
+def run_process(argv):
+    """``python -m framedyn`` in a fresh interpreter, so that stderr is
+    exactly what a user sees (numpy warnings included)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "framedyn", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def _worker_blas():
@@ -218,20 +229,41 @@ class TestTrain:
         assert not (tmp_path / "x.fdm").exists()
 
     def test_divergence_prints_only_the_error(self, dataset_path, tmp_path):
-        # numpy overflow warnings would otherwise reach stderr; run a fresh
-        # interpreter so that stderr is exactly what a user sees.
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "framedyn", "train", "--data", str(dataset_path),
+        # numpy overflow warnings would otherwise reach stderr.
+        proc = run_process(
+            ["train", "--data", str(dataset_path),
              "--lr", "1e308", "--hidden", "8", "--updates", "20", "--eval-every", "10",
-             "--out-model", str(tmp_path / "x.fdm"), "--out-metrics", str(tmp_path / "x.csv")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+             "--out-model", str(tmp_path / "x.fdm"), "--out-metrics", str(tmp_path / "x.csv")])
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: training diverged")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_runaway_run_fails_and_writes_nothing(self, tmp_path):
+        # At lr 1e60 the run stays finite but its test MSE ends ~7e124 times
+        # its update-0 value: the runaway rule compare applies, as an error.
+        data = tmp_path / "d.jsonl"
+        assert run(["gen-data", "--env", "parking2", "--episodes", "6", "--horizon", "10",
+                    "--seed", "1", "-o", str(data)]) == 0
+        proc = run_process(["train", "--data", str(data), "--lr", "1e60", "--hidden", "8",
+                            "--updates", "40", "--eval-every", "20"])
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: training diverged: test mse ran away from "
+                            r"\d\.\d{6}e-02 at update 0 to \d\.\d{6}e\+123 at update 40\n",
+                            proc.stderr), proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
+
+    @pytest.mark.parametrize("flag", ["--out-model", "--out-metrics"])
+    def test_output_in_a_missing_directory_fails_before_training(self, dataset_path,
+                                                                 tmp_path, capsys, flag):
+        paths = {"--out-model": tmp_path / "x.fdm", "--out-metrics": tmp_path / "x.csv"}
+        paths[flag] = tmp_path / "missing" / "x.out"
+        assert run(["train", "--data", str(dataset_path), "--hidden", "8",
+                    *(str(v) for item in paths.items() for v in item)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {paths[flag]}: "
+                                f"{tmp_path / 'missing'} is not a directory\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompare:
@@ -300,14 +332,17 @@ class TestCompare:
 
     def test_runaway_runs_count_as_diverged(self, dataset_path, tmp_path, capsys,
                                             monkeypatch):
-        # Run 0 ends slightly above its update-0 test MSE, run 1 far above it
-        # and run 2 stops on a non-finite loss: only run 0 enters the mean.
+        # Run 0 ends slightly above its update-0 test MSE, run 1 runs away and
+        # run 2 stops on a non-finite loss, each raised as train() raises it:
+        # only run 0 enters the mean.
         def fake_train(model, dataset, config):
             first = MetricRecord(0, 1.0, 0.04, 0.0)
             if config.seed == 2:
                 raise TrainingDivergedError("non-finite batch loss at update 5", [first])
-            growth = {0: 1.006, 1: 1e3}[config.seed]
-            return [first, MetricRecord(10, 1.0, 0.04 * growth, 0.0)]
+            last = MetricRecord(10, 1.0, 0.04 * {0: 1.006, 1: 1e3}[config.seed], 0.0)
+            if config.seed == 1:
+                raise TrainingDivergedError("test mse ran away", [first, last])
+            return [first, last]
 
         monkeypatch.setattr(cli, "train", fake_train)
         out_dir = tmp_path / "cmp"

@@ -7,7 +7,8 @@ import pytest
 from framedyn import training
 from framedyn.builtin import get_group
 from framedyn.dataset import TransitionDataset
-from framedyn.rng import Rng
+from framedyn.rng import Rng, derive_seed
+from framedyn.sim import generate_dataset
 from framedyn.training import (
     METRICS_HEADER,
     ModelFormatError,
@@ -483,6 +484,45 @@ def test_divergence_raises_with_metrics():
             train(model, ds, cfg)
     assert isinstance(info.value.metrics, list)
     assert info.value.metrics[0].update_index == 0
+
+
+def test_runaway_run_raises_with_every_record():
+    # The CLI's train on a parking2 6x10 file at lr 1e60 stays finite but ends
+    # at ~7e124 times its update-0 test MSE.
+    ds = generate_dataset("parking2", 6, 10, seed=1)
+    model = build_symmetry_model(get_group("parking2"), [8], seed=derive_seed(0, "init"))
+    cfg = TrainConfig(learning_rate=1e60, updates=40, eval_every=20)
+    with pytest.raises(TrainingDivergedError, match="test mse ran away") as info:
+        train(model, ds, cfg)
+    records = info.value.metrics
+    assert [r.update_index for r in records] == [0, 20, 40]
+    assert all(np.isfinite(r.test_mse) for r in records)
+    first, final = records[0].test_mse, records[-1].test_mse
+    assert f"from {first:.6e} at update 0 to {final:.6e} at update 40" in str(info.value)
+
+
+@pytest.mark.parametrize("growth, runaway", [(1.006, False), (1e3, True)])
+def test_runaway_rule_reads_the_final_test_mse(growth, runaway, monkeypatch):
+    # Records at updates 0, 5 and 10; the test MSE spikes to 1e3 times its
+    # start at update 5, so only the final value decides.
+    test_mse = iter([0.04, 0.04 * 1e3, 0.04 * growth])
+
+    def stub(model, dataset, indices, encoded=None):
+        return next(test_mse) if len(indices) == len(test_idx) else 1.0
+
+    ds = _constant_target_dataset(count=100)
+    test_idx = train_test_split(len(ds), 0.1, 3)[1]
+    monkeypatch.setattr(training, "observation_mse", stub)
+    cfg = TrainConfig(updates=10, eval_every=5, split_seed=3)
+    model = build_baseline_model(3, 2, [4], seed=1)
+    if not runaway:
+        records = train(model, ds, cfg)
+    else:
+        with pytest.raises(TrainingDivergedError, match="ran away") as info:
+            train(model, ds, cfg)
+        records = info.value.metrics
+    assert [(r.update_index, r.test_mse) for r in records] == [
+        (0, 0.04), (5, 0.04 * 1e3), (10, 0.04 * growth)]
 
 
 def test_config_validation():
