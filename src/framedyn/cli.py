@@ -69,6 +69,14 @@ def _or(value, default):
     return default if value is None else value
 
 
+def _check_output(path):
+    """Reject an output path that cannot be written, before any work is done."""
+    if not Path(path).parent.is_dir():
+        raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
+    if Path(path).is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
+
+
 # -- gen-data ------------------------------------------------------------------
 
 
@@ -78,6 +86,7 @@ def cmd_gen_data(args) -> int:
     env = get_env(args.env)
     if args.out is None:
         raise ValueError("--out is required")
+    _check_output(args.out)
     dataset = generate_dataset(args.env, _or(args.episodes, env.default_episodes),
                                _or(args.horizon, env.default_horizon),
                                policy=args.policy, seed=args.seed)
@@ -102,55 +111,51 @@ def _train_config(settings) -> TrainConfig:
                        **{key: settings[key] for key in _TRAIN_CONFIG_KEYS})
 
 
-def _fitting_settings(args, dataset):
-    """The shared fitting settings (echoed in metrics notes) and their
+def _fitting_settings(args, dataset) -> dict:
+    """The shared fitting settings (echoed in metrics notes), checked through their
     TrainConfig; the group and update count default to the dataset's env."""
     env = ENVS.get(dataset.env_id)
     s = {key: getattr(args, key) for key in ("mode", "activation", "lr", *_TRAIN_CONFIG_KEYS)}
     s["group_id"] = _or(args.group, dataset.env_id)
     s["updates"] = _or(args.updates, env.default_updates if env else TrainConfig.updates)
-    return s, _train_config(s)
+    _train_config(s)
+    return s
 
 
-def _build_model(dataset, settings, init_seed):
-    if settings["symmetry"]:
-        group = get_group(settings["group_id"])
-        return build_symmetry_model(
-            group, settings["hidden"], activation=settings["activation"],
-            seed=init_seed, mode=settings["mode"],
-        )
-    return build_baseline_model(
-        dataset.n, dataset.n_u, settings["hidden"],
-        activation=settings["activation"], seed=init_seed, mode=settings["mode"],
-    )
+def _build_model(dataset, s):
+    """A run's untrained model.  Its init seed derives from the run's seed, layer
+    count and method alone, so ``train`` with a cell's flags rebuilds that cell."""
+    init_seed = derive_seed(s["seed"], "init", len(s["hidden"]), int(s["symmetry"]))
+    kwargs = {"activation": s["activation"], "seed": init_seed, "mode": s["mode"]}
+    if s["symmetry"]:
+        return build_symmetry_model(get_group(s["group_id"]), s["hidden"], **kwargs)
+    return build_baseline_model(dataset.n, dataset.n_u, s["hidden"], **kwargs)
 
 
 def cmd_train(args) -> int:
     if args.data is None:
         raise ValueError("--data is required")
     dataset = read_jsonl(args.data)
-    s, config = _fitting_settings(args, dataset)
+    s = _fitting_settings(args, dataset)
     s["symmetry"] = args.symmetry == "on"
     s["hidden"] = _or(args.hidden, (default_hidden(dataset.env_id),))
     if not s["hidden"]:
         raise ValueError("--hidden must list at least one layer width")
-    init_seed = derive_seed(s["seed"], "init")
-    model = _build_model(dataset, s, init_seed)
+    model = _build_model(dataset, s)
     check_model_dataset(model, dataset)
     label = "sym" if s["symmetry"] else "base"
     stem = str(Path(args.data).with_suffix(""))
     out_model = _or(args.out_model, f"{stem}_{label}.fdm")
     out_metrics = _or(args.out_metrics, f"{stem}_{label}_metrics.csv")
     for path in (out_model, out_metrics):  # checked first: no run is lost to a bad path
-        if not Path(path).parent.is_dir():
-            raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
+        _check_output(path)
 
     print(f"training {'symmetry' if s['symmetry'] else 'baseline'} model on {args.data}")
     print(f"model input dim: {model.input_dim}")
     print(f"model output dim: {model.output_dim}")
     print(f"hidden layers: {list(s['hidden'])} ({s['activation']}), "
           f"parameters: {model.regressor.param_count}")
-    records = train(model, dataset, config)
+    records = train(model, dataset, _train_config(s))
     save_model(out_model, model, train_seed=s["seed"])
     write_metrics_csv(out_metrics, records, _metrics_note(s, dataset))
     final = records[-1]
@@ -184,9 +189,7 @@ def _init_compare_worker(dataset):
 def _compare_cell(settings, dataset=None):
     """The run's records and whether it diverged."""
     dataset = _worker_dataset if dataset is None else dataset
-    init_seed = derive_seed(settings["seed"], "init", len(settings["hidden"]),
-                            int(settings["symmetry"]))
-    model = _build_model(dataset, settings, init_seed)
+    model = _build_model(dataset, settings)
     try:
         return train(model, dataset, _train_config(settings)), False
     except TrainingDivergedError as e:
@@ -197,7 +200,7 @@ def cmd_compare(args) -> int:
     if args.data is None or args.out_dir is None:
         raise ValueError("--data and --out-dir are required")
     dataset = read_jsonl(args.data)
-    s, _ = _fitting_settings(args, dataset)  # building its TrainConfig checks the values
+    s = _fitting_settings(args, dataset)
     archs, runs, workers = args.archs, args.runs, args.workers
     width = _or(args.hidden_size, default_hidden(dataset.env_id))
     if runs < 1:
@@ -207,15 +210,14 @@ def cmd_compare(args) -> int:
     if not archs or min(archs) < 1 or len(set(archs)) != len(archs):
         raise ValueError(f"--archs must list distinct hidden layer counts >= 1, "
                          f"got {list(archs)}")
-    # Reject a too-small dataset, or a group, width or mode that does not fit, before output.
-    check_model_dataset(_build_model(dataset, {**s, "symmetry": True, "hidden": (width,)}, 0),
-                        dataset)
-
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # The grid in report order: archs, then symmetry before baseline, then runs.
     cells = [{**s, "symmetry": symmetry, "hidden": (width,) * layers, "seed": s["seed"] + run}
              for layers in archs for symmetry in (True, False) for run in range(runs)]
+    # Reject a too-small dataset, or a group, width or mode that does not fit, before output.
+    check_model_dataset(_build_model(dataset, cells[0]), dataset)
+
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     print(
         f"comparison grid: archs={list(archs)} x methods=[symmetry, baseline] "

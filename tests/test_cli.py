@@ -48,6 +48,12 @@ def _worker_blas():
     return os.environ.get("OPENBLAS_NUM_THREADS"), threads
 
 
+def _without_wall_time(path):
+    """A metrics file's lines with the wall-time column dropped."""
+    return [line if line.startswith("#") else line.rsplit(",", 1)[0]
+            for line in path.read_text().splitlines()]
+
+
 @pytest.fixture(scope="module")
 def dataset_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "parking.jsonl"
@@ -80,6 +86,30 @@ class TestGenData:
     def test_missing_out_is_runtime_error(self, capsys):
         assert run(["gen-data", "--env", "reacher"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_missing_env_is_runtime_error(self, tmp_path, capsys):
+        assert run(["gen-data", "-o", str(tmp_path / "d.jsonl")]) == 1
+        assert capsys.readouterr().err == "error: --env is required (parking2 or reacher)\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out, message", [
+        ("outdir", "it is a directory"),
+        ("missing/x.jsonl", "{tmp}/missing is not a directory"),
+    ])
+    def test_unwritable_out_fails_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                    out, message):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("generate_dataset was called")
+
+        monkeypatch.setattr(cli, "generate_dataset", no_generation)
+        (tmp_path / "outdir").mkdir()
+        path = tmp_path / out
+        assert run(["gen-data", "--env", "parking2", "-o", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: {message.format(tmp=tmp_path)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
+        assert list((tmp_path / "outdir").iterdir()) == []
 
     def test_impossible_size_is_one_line_error(self, tmp_path, capsys):
         # 873 TiB of outputs: beyond the address space, so allocation fails
@@ -239,7 +269,7 @@ class TestTrain:
         assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_runaway_run_fails_and_writes_nothing(self, tmp_path):
-        # At lr 1e60 the run stays finite but its test MSE ends ~7e124 times
+        # At lr 1e60 the run stays finite but its test MSE ends ~2e240 times
         # its update-0 value: the runaway rule compare applies, as an error.
         data = tmp_path / "d.jsonl"
         assert run(["gen-data", "--env", "parking2", "--episodes", "6", "--horizon", "10",
@@ -248,7 +278,7 @@ class TestTrain:
                             "--updates", "40", "--eval-every", "20"])
         assert proc.returncode == 1
         assert re.fullmatch(r"error: training diverged: test mse ran away from "
-                            r"\d\.\d{6}e-02 at update 0 to \d\.\d{6}e\+123 at update 40\n",
+                            r"\d\.\d{6}e-02 at update 0 to \d\.\d{6}e\+239 at update 40\n",
                             proc.stderr), proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
 
@@ -264,6 +294,20 @@ class TestTrain:
         assert captured.err == (f"error: cannot write {paths[flag]}: "
                                 f"{tmp_path / 'missing'} is not a directory\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out-model", "--out-metrics"])
+    def test_output_that_is_a_directory_fails_before_training(self, dataset_path, tmp_path,
+                                                              capsys, flag):
+        paths = {"--out-model": tmp_path / "x.fdm", "--out-metrics": tmp_path / "x.csv"}
+        paths[flag] = tmp_path / "outdir"
+        paths[flag].mkdir()
+        assert run(["train", "--data", str(dataset_path), "--hidden", "8",
+                    *(str(v) for item in paths.items() for v in item)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {paths[flag]}: it is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
+        assert list(paths[flag].iterdir()) == []
 
 
 class TestCompare:
@@ -319,11 +363,8 @@ class TestCompare:
             out_dir = tmp_path / f"w{workers}"
             assert run(["compare", "--data", str(dataset_path), *kwargs,
                         "--workers", workers, "--out-dir", str(out_dir)]) == 0
-            files = {p.name: p.read_text().splitlines() for p in out_dir.iterdir()}
-            for name, lines in files.items():
-                if name.startswith("parking2_h"):  # drop the wall-time column
-                    files[name] = [line if line.startswith("#") else line.rsplit(",", 1)[0]
-                                   for line in lines]
+            files = {p.name: _without_wall_time(p) if p.name.startswith("parking2_h")
+                     else p.read_text().splitlines() for p in out_dir.iterdir()}
             outputs.append((files, capsys.readouterr().err))
         assert outputs[0] == outputs[1]
         files, err = outputs[0]
@@ -444,6 +485,40 @@ class TestCompare:
             records, note = read_metrics_csv(tmp_path / name / "parking2_h1_base_s0.csv")
             runs.append(([(r.train_mse, r.test_mse) for r in records], note))
         assert runs[0] == runs[1] and runs[0][1]["split_seed"] == 5
+
+    def test_train_reruns_every_cell(self, tmp_path):
+        # train with a cell's widths, method and seed builds the cell's model,
+        # so it writes the cell's metrics file, config line included.
+        data = tmp_path / "d.jsonl"
+        assert run(["gen-data", "--env", "parking2", "--episodes", "6", "--horizon", "10",
+                    "--seed", "1", "-o", str(data)]) == 0
+        fitting = ["--data", str(data), "--updates", "40", "--eval-every", "20"]
+        assert run(["compare", *fitting, "--archs", "1,2", "--hidden-size", "8", "--runs", "2",
+                    "--seed", "3", "--out-dir", str(tmp_path / "cmp")]) == 0
+        cells = [(layers, label, seed) for layers in (1, 2) for label in ("sym", "base")
+                 for seed in (3, 4)]
+        for layers, label, seed in cells:
+            metrics = tmp_path / f"h{layers}_{label}_s{seed}.csv"
+            assert run(["train", *fitting, "--hidden", ",".join(["8"] * layers),
+                        "--symmetry", "on" if label == "sym" else "off", "--seed", str(seed),
+                        "--out-model", str(tmp_path / "m.fdm"),
+                        "--out-metrics", str(metrics)]) == 0
+            cell = tmp_path / "cmp" / f"parking2_h{layers}_{label}_s{seed}.csv"
+            assert _without_wall_time(metrics) == _without_wall_time(cell), (layers, label, seed)
+
+    @pytest.mark.parametrize("flags", [["--out-dir", "cmp"], ["--data", "d.jsonl"]])
+    def test_missing_data_or_out_dir_is_runtime_error(self, tmp_path, capsys, flags):
+        assert run(["compare", *flags]) == 1
+        assert capsys.readouterr().err == "error: --data and --out-dir are required\n"
+
+    def test_zero_runs_fail_before_any_file(self, dataset_path, tmp_path, capsys):
+        out_dir = tmp_path / "cmp"
+        assert run(["compare", "--data", str(dataset_path), "--runs", "0",
+                    "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --runs must be at least 1\n"
+        assert not out_dir.exists()
 
     def test_negative_workers_fail_before_any_file(self, dataset_path, tmp_path, capsys):
         out_dir = tmp_path / "cmp"

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from framedyn.builtin import HEADING_NORM_FLOOR, get_group
-from framedyn.groups import FrameSingularityError, wrap_angle
+from framedyn.groups import FrameSingularityError, TransformationGroup, wrap_angle
 from framedyn.rng import Rng
 from framedyn.verify import (
     check_frame,
@@ -10,6 +12,7 @@ from framedyn.verify import (
     check_group_axioms,
     check_reconstruction_roundtrip,
     check_reduce_invariance,
+    run_suites,
 )
 from conftest import BUILTIN_GROUP_IDS, HeadingRotationGroup
 
@@ -118,6 +121,28 @@ def test_group_id_mismatch_raises():
         car.compose(g_car, g_re)
     with pytest.raises(ValueError, match="belongs to"):
         car.act_state(g_re, car.random_state(Rng(0)))
+
+
+def test_non_element_raises_type_error():
+    car = get_group("se2car")
+    with pytest.raises(TypeError, match="expected GroupElement, got ndarray"):
+        car.act_state(np.zeros(3), car.random_state(Rng(0)))
+
+
+def test_cross_section_of_the_wrong_length_raises():
+    class WideSection(HeadingRotationGroup):
+        def __init__(self):
+            TransformationGroup.__init__(self, group_id="rotcar", r=1, n=6, n_u=2,
+                                         a_indices=(4, 5), cross_section=(1.0, 0.0, 0.0))
+
+    with pytest.raises(ValueError, match=re.escape("cross-section constant must have "
+                                                   "length 2, got (3,)")):
+        WideSection()
+
+
+def test_unknown_suite_raises():
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+        run_suites(suite="nonsense")
 
 
 def test_dimension_mismatch_raises():

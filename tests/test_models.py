@@ -190,6 +190,19 @@ def test_baseline_arity_validation():
         model.predict(np.zeros(4), np.zeros(3))
 
 
+@pytest.mark.parametrize("kind", ["sym", "base"])
+def test_regressor_output_of_the_wrong_arity_is_named(kind, parking_group):
+    def regressor(z):  # declares no arity, and returns 23 columns for 24
+        return np.zeros(z.shape[:-1] + (23,))
+
+    model = (SymmetryReducedModel(parking_group, regressor) if kind == "sym"
+             else BaselineModel(24, 4, regressor))
+    rng = Rng(5)
+    x, u = parking_group.random_state(rng, size=3), parking_group.random_control(rng, size=3)
+    with pytest.raises(ValueError, match="regressor returned arity 23, expected 24"):
+        model.predict(x, u)
+
+
 @pytest.mark.parametrize("n, n_u, regressor", [
     (24, -1, Mlp.from_spec(MlpSpec(input_dim=23, output_dim=24))),  # arities fit n + n_u
     (0, 3, lambda z: z),  # a regressor with no declared arity

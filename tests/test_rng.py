@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,12 @@ def test_integers_in_range():
     vals = Rng(3).integers(7, size=5000)
     assert vals.min() >= 0 and vals.max() <= 6
     assert len(np.unique(vals)) == 7
+
+
+@pytest.mark.parametrize("n", [0, -3, 2**53])
+def test_integers_out_of_bounds_rejected(n):
+    with pytest.raises(ValueError, match=re.escape(f"requires 0 < n < 2**53, got {n}")):
+        Rng(3).integers(n)
 
 
 def test_angles_interval():

@@ -637,6 +637,34 @@ class TestJsonl:
                            match=f"{re.escape(str(path))}: line 1: header field '{field}'"):
             read_jsonl(path)
 
+    @pytest.mark.parametrize("make_header, message", [
+        (lambda header: "", "missing header line"),
+        (lambda header: "{not json", "line 1: invalid header"),
+        (lambda header: "[1, 2]", "line 1: header is not a JSON object"),
+        (lambda header: json.dumps({k: v for k, v in header.items() if k != "seed"}),
+         "line 1: header missing field 'seed'"),
+    ], ids=["blank", "not-json", "not-object", "missing-field"])
+    def test_bad_header_line_names_path_and_fault(self, tmp_path, make_header, message):
+        ds = generate_dataset("reacher", episodes=1, horizon=2, seed=1)
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, ds)
+        lines = path.read_text().splitlines()
+        lines[0] = make_header(json.loads(lines[0]))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            read_jsonl(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"x": [[0.0, np.nan]]}, "dataset field 'x' contains non-finite values"),
+        ({"x_next": [[np.inf, 0.0]]}, "dataset field 'xn' contains non-finite values"),
+        ({"u": [[0.5], [1.5]]}, "x, u, x_next must have equal lengths"),
+    ])
+    def test_non_finite_or_unequal_fields_rejected(self, fields, message):
+        arrays = {"x": [[0.0, 1.0]], "u": [[0.5]], "x_next": [[1.0, 2.0]], **fields}
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            TransitionDataset(env_id="toy", n=2, n_u=1, seed=0, **arrays)
+
     def test_content_hash_sensitive_to_data(self):
         a = generate_dataset("reacher", episodes=2, horizon=5, seed=1)
         b = generate_dataset("reacher", episodes=2, horizon=5, seed=2)

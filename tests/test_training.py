@@ -7,6 +7,7 @@ import pytest
 from framedyn import training
 from framedyn.builtin import get_group
 from framedyn.dataset import TransitionDataset
+from framedyn.models import BaselineModel
 from framedyn.rng import Rng, derive_seed
 from framedyn.sim import generate_dataset
 from framedyn.training import (
@@ -97,6 +98,11 @@ class TestSplit:
         r1 = train(m1, ds1, cfg)
         r2 = train(m2, ds2, cfg)
         assert r1[0].test_mse != r2[0].test_mse  # different data, different split
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_rows_cannot_split(self, count):
+        with pytest.raises(ValueError, match="need at least 2 samples to split"):
+            train_test_split(count, 0.5, 0)
 
     def test_explicit_split_seed_is_honored(self):
         ds = _constant_target_dataset(count=300)
@@ -487,8 +493,8 @@ def test_divergence_raises_with_metrics():
 
 
 def test_runaway_run_raises_with_every_record():
-    # The CLI's train on a parking2 6x10 file at lr 1e60 stays finite but ends
-    # at ~7e124 times its update-0 test MSE.
+    # This model on a parking2 6x10 file at lr 1e60 stays finite but ends at
+    # ~7e124 times its update-0 test MSE.
     ds = generate_dataset("parking2", 6, 10, seed=1)
     model = build_symmetry_model(get_group("parking2"), [8], seed=derive_seed(0, "init"))
     cfg = TrainConfig(learning_rate=1e60, updates=40, eval_every=20)
@@ -675,6 +681,27 @@ class TestModelPersistence:
                            match=f"{re.escape(str(path))}: model header field "
                                  f"'{re.escape(named)}'.*{re.escape(message)}"):
             load_model(path)
+
+    def test_non_json_header_rejected(self, tmp_path):
+        path = tmp_path / "m.fdm"
+        path.write_bytes(b'{"format_version": \n')
+        with pytest.raises(ModelFormatError,
+                           match=f"^{re.escape(str(path))}: invalid model header"):
+            load_model(path)
+
+    def test_baseline_loaded_with_a_group_rejected(self, tmp_path, parking_group):
+        path = tmp_path / "m.fdm"
+        save_model(path, build_baseline_model(parking_group.n, parking_group.n_u, [8], seed=1))
+        with pytest.raises(ModelFormatError,
+                           match=f"^{re.escape(str(path))}: baseline model carries no group, "
+                                 f"but 'parking2' was requested$"):
+            load_model(path, group=parking_group)
+
+    def test_only_an_mlp_regressor_is_saved(self, tmp_path):
+        model = BaselineModel(4, 2, lambda z: z[..., :4])
+        with pytest.raises(ModelFormatError, match="only Mlp-backed models can be serialized"):
+            save_model(tmp_path / "m.fdm", model)
+        assert list(tmp_path.iterdir()) == []
 
     def test_list_header_rejected(self, tmp_path):
         path = tmp_path / "m.fdm"
