@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  Criterion 7 trains the full 1-hidden-layer comparison at the
-default desk-scale budgets and takes a few minutes; everything else is fast.
+default desk-scale budgets through ``framedyn compare`` on two workers and
+takes about a minute; everything else is fast.
 """
 
 import time
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from framedyn.builtin import get_group
-from framedyn.dataset import TransitionDataset
+from framedyn.cli import main
+from framedyn.dataset import TransitionDataset, write_jsonl
 from framedyn.groups import wrap_angle
 from framedyn.rng import Rng, derive_seed
 from framedyn.sim import get_env
@@ -19,6 +21,7 @@ from framedyn.training import (
     TrainConfig,
     build_baseline_model,
     build_symmetry_model,
+    read_metrics_csv,
     train,
 )
 from framedyn.verify import (
@@ -131,38 +134,41 @@ def test_criterion_6_dimensional_claims():
                "reacher 8/13 in, 11 out")
 
 
-def _final_errors(dataset, group, width, updates, symmetry, runs=4, base_seed=0):
-    finals = []
-    for run_idx in range(runs):
-        seed = base_seed + run_idx
-        init_seed = derive_seed(seed, "init", 1, int(symmetry))
-        if symmetry:
-            model = build_symmetry_model(group, [width], seed=init_seed)
-        else:
-            model = build_baseline_model(dataset.n, dataset.n_u, [width], seed=init_seed)
-        cfg = TrainConfig(updates=updates, eval_every=250, seed=seed)
-        records = train(model, dataset, cfg)
-        finals.append(records[-1].test_mse)
-        print(f"    {'sym ' if symmetry else 'base'} seed {seed}: "
-              f"final test mse {finals[-1]:.4e}")
-    return np.asarray(finals)
+def _compare_final_errors(dataset, env, out_dir):
+    """Final test MSE of seeds 0-3 per method, from one ``framedyn compare`` of
+    1-hidden-layer models; its per-run CSVs write them at %.17g, so exactly."""
+    out_dir.mkdir()
+    data = out_dir / "data.jsonl"
+    write_jsonl(data, dataset)
+    updates = str(env.default_updates)
+    assert main(["compare", "--data", str(data), "--archs", "1", "--runs", "4",
+                 "--workers", "2", "--hidden-size", str(env.default_hidden),
+                 "--updates", updates, "--eval-every", updates, "--seed", "0",
+                 "--out-dir", str(out_dir)]) == 0
+    # compare records a diverged or runaway run and goes on; here it must fail.
+    report = (out_dir / "report.md").read_text()
+    assert "Diverged runs" not in report, report
+    finals = {"sym": [], "base": []}
+    for label, values in finals.items():
+        for seed in range(4):
+            records, _ = read_metrics_csv(out_dir / f"{dataset.env_id}_h1_{label}_s{seed}.csv")
+            assert records[-1].update_index == env.default_updates
+            values.append(records[-1].test_mse)
+            print(f"    {label:<4} seed {seed}: final test mse {values[-1]:.4e}")
+    return np.asarray(finals["sym"]), np.asarray(finals["base"])
 
 
 @pytest.mark.slow
 def test_criterion_7_symmetry_outperforms_at_small_capacity(
-    default_parking_dataset, default_reacher_dataset
+    default_parking_dataset, default_reacher_dataset, tmp_path
 ):
     start = time.perf_counter()
     details = []
     for dataset in (default_parking_dataset, default_reacher_dataset):
         env = get_env(dataset.env_id)
-        group = get_group(env.group_id)
         print(f"\n  {dataset.env_id}: 1 hidden layer x {env.default_hidden}, "
               f"{env.default_updates} updates, 4 seeds per method")
-        sym = _final_errors(dataset, group, env.default_hidden,
-                            env.default_updates, symmetry=True)
-        base = _final_errors(dataset, group, env.default_hidden,
-                             env.default_updates, symmetry=False)
+        sym, base = _compare_final_errors(dataset, env, tmp_path / dataset.env_id)
         pooled = np.sqrt((np.var(sym, ddof=1) + np.var(base, ddof=1)) / 2.0)
         gap = base.mean() - sym.mean()
         assert sym.mean() < base.mean(), (

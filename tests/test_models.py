@@ -5,7 +5,7 @@ import pytest
 
 from framedyn.builtin import get_group
 from framedyn.mlp import Mlp, MlpSpec
-from framedyn.models import BaselineModel, SymmetryReducedModel
+from framedyn.models import MODES, BaselineModel, SymmetryReducedModel, _OneStepModel
 from framedyn.rng import Rng, derive_seed
 from framedyn.sim import parking_step, reacher_step
 from framedyn.training import build_baseline_model, build_symmetry_model
@@ -50,6 +50,23 @@ def test_model_invariance_fails_for_broken_raw_maps(group_cls):
     # The model path goes through the group's overridable raw maps, so a
     # wrong inverse or a wrong frame breaks invariance.
     result = check_model_invariance(group_cls(), seed=0, samples=200)
+    assert not result.passed and result.max_error > 1.0
+
+
+@pytest.mark.parametrize("gid", ["se2car", "parking2", "reacher"])
+@pytest.mark.parametrize("broken", MODES)
+def test_model_invariance_fails_for_a_fault_in_one_mode(monkeypatch, gid, broken):
+    # The suite decodes one regressor output per depth in every mode, so a
+    # decode that skips the carry back in one mode alone must still fail it.
+    decode = _OneStepModel._decode
+
+    def faulty(self, context, out):
+        if self.mode == broken:
+            return np.asarray(out, dtype=np.float64)  # no carry back
+        return decode(self, context, out)
+
+    monkeypatch.setattr(_OneStepModel, "_decode", faulty)
+    result = check_model_invariance(get_group(gid), seed=0, samples=200)
     assert not result.passed and result.max_error > 1.0
 
 
